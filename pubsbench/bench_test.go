@@ -100,7 +100,7 @@ func TestManifestMatchesCatalog(t *testing.T) {
 		wls = append(wls, w.Name)
 	}
 	if !reflect.DeepEqual(wls, workloadNames) {
-		t.Errorf("BENCHMARK.json workloads %v, driver has %v", wls, workloadNames)
+		t.Errorf("BENCHMARK.json workloads %v, main.go has %v", wls, workloadNames)
 	}
 	strip := func(ms []metricSpec) []metricSpec {
 		out := make([]metricSpec, len(ms))
@@ -110,10 +110,10 @@ func TestManifestMatchesCatalog(t *testing.T) {
 		return out
 	}
 	if got, want := strip(manifest.EndToEnd), strip(endToEnd); !reflect.DeepEqual(got, want) {
-		t.Errorf("BENCHMARK.json end_to_end\n%v\ndriver\n%v", got, want)
+		t.Errorf("BENCHMARK.json end_to_end\n%v\nmetrics.go\n%v", got, want)
 	}
 	if got, want := strip(manifest.PerLayer), strip(perLayer); !reflect.DeepEqual(got, want) {
-		t.Errorf("BENCHMARK.json per_layer\n%v\ndriver\n%v", got, want)
+		t.Errorf("BENCHMARK.json per_layer\n%v\nmetrics.go\n%v", got, want)
 	}
 }
 

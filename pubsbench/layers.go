@@ -121,7 +121,7 @@ func traceReport(wl string, seed int64, out string, untracedWall float64, traced
 	}
 	notes = append(notes,
 		fmt.Sprintf("planning (emu + sampling under the plan pass) %.1f%% of CPU", 100*f.share(f.Activity["plan"])),
-		fmt.Sprintf("bench driver %.1f%%, unattributed %.1f%%", 100*f.share(f.Layer["bench"]), 100*f.share(f.Unattributed)),
+		fmt.Sprintf("pubsbench itself %.1f%%, unattributed %.1f%%", 100*f.share(f.Layer["bench"]), 100*f.share(f.Unattributed)),
 		fmt.Sprintf("tracing overhead: traced %.3f s - untraced %.3f s (mean of the repetitions before and after) = %+.3f s",
 			traced.Wall, untracedWall, traced.Wall-untracedWall))
 	return m, notes, nil

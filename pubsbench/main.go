@@ -43,8 +43,8 @@ import (
 // them.
 var workloadNames = []string{"paper-figures", "sampled-sweep", "cluster-mix"}
 
-// session is one workload inside a child process.
-type session interface {
+// workloadRun is one workload inside a child process.
+type workloadRun interface {
 	// setup boots what the first repetition submits to.
 	setup() error
 	// rep runs one timed repetition on a freshly booted system (the first
@@ -54,14 +54,14 @@ type session interface {
 	close()
 }
 
-// env is what every session shares.
+// env is what every workloadRun shares.
 type env struct {
 	procs int
 	seed  int64
 	check *checker
 }
 
-func newSession(name string, e *env) (session, error) {
+func newWorkloadRun(name string, e *env) (workloadRun, error) {
 	switch name {
 	case "paper-figures":
 		return &paperFigures{env: e}, nil
@@ -199,7 +199,7 @@ func childMain(mode, wl string, seed int64, rep int, traced bool, out, record st
 		return err
 	}
 	e := &env{procs: runtime.GOMAXPROCS(0), seed: repSeed(seed, rep), check: ck}
-	s, err := newSession(wl, e)
+	s, err := newWorkloadRun(wl, e)
 	if err != nil {
 		return err
 	}
@@ -280,7 +280,7 @@ func parentMain(wl string, seed int64, seconds int, traced bool, out, record str
 	names := []string{wl}
 	if wl == "all" {
 		names = workloadNames
-	} else if _, err := newSession(wl, &env{}); err != nil {
+	} else if _, err := newWorkloadRun(wl, &env{}); err != nil {
 		return err
 	}
 	total := summary{Correct: true, Metrics: map[string]metricValue{}}
@@ -332,7 +332,7 @@ func spawn(ctx context.Context, mode, wl string, seed int64, rep int, traced boo
 	}
 	cmd := exec.CommandContext(ctx, exe, args...)
 	cmd.Stderr = os.Stderr
-	// A child must not outlive the driver, however the driver ends.
+	// A child must not outlive its parent, however the parent ends.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

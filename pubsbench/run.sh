@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds the pubsbench driver from the checkout's sources and runs it.
+# Builds the pubsbench binary from the checkout's sources and runs it.
 #
 #   bash pubsbench/run.sh --workload paper-figures --seed 1 --seconds 30 --trace 0
 #   bash pubsbench/run.sh --workload all           # every workload, one table
