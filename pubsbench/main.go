@@ -268,7 +268,7 @@ type metricValue struct {
 	Unit  string  `json:"unit"`
 }
 
-// summary is the contract's last line.
+// summary is the last line of standard output.
 type summary struct {
 	Correct   bool                   `json:"correct"`
 	Attempted int                    `json:"attempted"`
