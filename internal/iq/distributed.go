@@ -86,17 +86,39 @@ func (d *Distributed) DispatchWeighted(r Request, pick float64) bool {
 	return d.queueFor(r.FU).DispatchWeighted(r, pick)
 }
 
+// MarkReady routes a readiness wakeup to the member queue holding handle
+// (each member's own handle map answers whether it does). It panics if no
+// member holds the handle.
+func (d *Distributed) MarkReady(handle int) {
+	for _, q := range d.qs {
+		if q.markReady(handle) {
+			return
+		}
+	}
+	panic(fmt.Sprintf("iq: MarkReady of unqueued handle %d", handle))
+}
+
+// IsReady reports whether some member queue holds handle marked ready.
+func (d *Distributed) IsReady(handle int) bool {
+	for _, q := range d.qs {
+		if q.IsReady(handle) {
+			return true
+		}
+	}
+	return false
+}
+
 // Select walks the queues in pool order, sharing the total issue width.
 // Each per-pool select still enforces the FU constraints via fuTryAlloc.
 // The returned slice aliases an internal buffer and is only valid until the
 // next Select call.
-func (d *Distributed) Select(issueWidth int, ready func(int) bool, fuTryAlloc func(int) bool) []Request {
+func (d *Distributed) Select(issueWidth int, fuTryAlloc func(int) bool) []Request {
 	granted := d.grantBuf[:0]
 	for _, q := range d.qs {
 		if issueWidth <= len(granted) {
 			break
 		}
-		granted = append(granted, q.Select(issueWidth-len(granted), ready, fuTryAlloc)...)
+		granted = append(granted, q.Select(issueWidth-len(granted), fuTryAlloc)...)
 	}
 	d.grantBuf = granted
 	return granted

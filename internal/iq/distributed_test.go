@@ -83,13 +83,43 @@ func TestDistributedSelectSharesWidth(t *testing.T) {
 	for i := 6; i < 10; i++ {
 		d.DispatchNormal(Request{Handle: i, Seq: uint64(i), FU: int(isa.ClassFPU)})
 	}
-	granted := d.Select(4, func(int) bool { return true }, func(int) bool { return true })
+	for h := 0; h < 10; h++ {
+		d.MarkReady(h)
+	}
+	granted := d.Select(4, unlimitedFU)
 	if len(granted) != 4 {
 		t.Errorf("granted %d, want total issue width 4", len(granted))
 	}
 	if d.Occupancy() != 6 {
 		t.Errorf("occupancy after select = %d", d.Occupancy())
 	}
+}
+
+// TestDistributedMarkReadyRoutes: a wakeup reaches the member queue that
+// holds the handle and no other, and an unqueued handle is rejected.
+func TestDistributedMarkReadyRoutes(t *testing.T) {
+	d := NewDistributed(distCfg())
+	d.DispatchNormal(Request{Handle: 7, Seq: 1, FU: int(isa.ClassFPU)})
+	d.DispatchNormal(Request{Handle: 8, Seq: 2, FU: int(isa.ClassLoad)})
+	d.MarkReady(7)
+	if !d.IsReady(7) || d.IsReady(8) {
+		t.Fatalf("IsReady(7)=%v IsReady(8)=%v, want true/false", d.IsReady(7), d.IsReady(8))
+	}
+	for i, q := range d.Queues() {
+		if got, want := q.IsReady(7), i == 3; got != want {
+			t.Errorf("member %d IsReady(7)=%v, want %v", i, got, want)
+		}
+	}
+	granted := d.Select(4, unlimitedFU)
+	if len(granted) != 1 || granted[0].Handle != 7 {
+		t.Fatalf("granted %v, want only handle 7", granted)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MarkReady of a granted handle should panic")
+		}
+	}()
+	d.MarkReady(7)
 }
 
 func TestDistributedPriorityPartition(t *testing.T) {
@@ -131,12 +161,12 @@ func TestFlexibleSelectRanksMarked(t *testing.T) {
 	// Unmarked at the best position, marked later.
 	q.DispatchNormal(Request{Handle: 1, Seq: 1, FU: int(isa.ClassIntALU)})
 	q.DispatchNormal(Request{Handle: 2, Seq: 2, FU: int(isa.ClassIntALU), Marked: true})
-	granted := q.Select(1, func(int) bool { return true }, func(int) bool { return true })
+	granted := selectReady(q, 1, alwaysReady, unlimitedFU)
 	if len(granted) != 1 || granted[0].Handle != 2 {
 		t.Errorf("granted %v, want the marked request", granted)
 	}
 	// Second pass picks the unmarked one.
-	granted = q.Select(1, func(int) bool { return true }, func(int) bool { return true })
+	granted = selectReady(q, 1, alwaysReady, unlimitedFU)
 	if len(granted) != 1 || granted[0].Handle != 1 {
 		t.Errorf("granted %v, want the unmarked request", granted)
 	}
@@ -147,7 +177,7 @@ func TestFlexibleSelectFillsWidthAcrossPasses(t *testing.T) {
 	q.DispatchNormal(Request{Handle: 1, Seq: 1, FU: int(isa.ClassIntALU), Marked: true})
 	q.DispatchNormal(Request{Handle: 2, Seq: 2, FU: int(isa.ClassIntALU)})
 	q.DispatchNormal(Request{Handle: 3, Seq: 3, FU: int(isa.ClassIntALU)})
-	granted := q.Select(3, func(int) bool { return true }, func(int) bool { return true })
+	granted := selectReady(q, 3, alwaysReady, unlimitedFU)
 	if len(granted) != 3 {
 		t.Fatalf("granted %d, want 3", len(granted))
 	}

@@ -3,10 +3,13 @@ package iq
 // Golden equivalence for the bitset select rewrite: referenceSelect is the
 // pre-rewrite implementation (closure scan over the slot array plus a
 // selection-sort free loop), kept verbatim as the specification of the
-// position-priority semantics. The property tests drive a rewritten queue
+// position-priority semantics — except that its transient grant marks
+// live in a local set, since the queue's slots no longer carry one. The property tests drive a rewritten queue
 // and a reference-selected twin through identical operation sequences and
 // require identical grants, occupancy, and structural state for every
-// queue kind and select variant.
+// queue kind and select variant. Readiness reaches the queue under test as
+// MarkReady calls for exactly the entries the reference's predicate reports
+// ready.
 
 import (
 	"fmt"
@@ -55,6 +58,7 @@ func referenceSelect(q *Queue, issueWidth int, ready func(int) bool, fuTryAlloc 
 	granted := make([]Request, 0, issueWidth)
 	grantedPos := make([]int, 0, issueWidth)
 	grantedAt := -1
+	grantedSet := map[int]bool{} // the old slot.granted transient marks
 
 	if q.cfg.AgeMatrix {
 		oldest := -1
@@ -85,7 +89,7 @@ func referenceSelect(q *Queue, issueWidth int, ready func(int) bool, fuTryAlloc 
 			if len(granted) >= issueWidth {
 				return false
 			}
-			if pos == grantedAt || s.granted {
+			if pos == grantedAt || grantedSet[pos] {
 				return true
 			}
 			if !any && s.req.Marked != wantMarked {
@@ -97,7 +101,7 @@ func referenceSelect(q *Queue, issueWidth int, ready func(int) bool, fuTryAlloc 
 			if !fuTryAlloc(s.req.FU) {
 				return true
 			}
-			s.granted = true
+			grantedSet[pos] = true
 			granted = append(granted, s.req)
 			grantedPos = append(grantedPos, pos)
 			return true
@@ -156,6 +160,11 @@ func TestSelectMatchesReference(t *testing.T) {
 			qNew, qRef := New(cfg), New(cfg)
 			rng := xorshift(0xDECAFBAD)
 			seq := uint64(0)
+			// Readiness is monotone, as in the pipeline: once the random
+			// draw reports a queued handle ready it stays ready until
+			// granted. The harness marks it in qNew; the oracle's predicate
+			// reads the same set.
+			readySet := map[int]bool{}
 			for step := 0; step < 4000; step++ {
 				r := rng.next()
 				switch r % 4 {
@@ -179,7 +188,13 @@ func TestSelectMatchesReference(t *testing.T) {
 					}
 				case 2, 3:
 					readyBits := rng.next()
-					ready := func(h int) bool { return readyBits>>(uint(h)%64)&1 == 0 }
+					for h, pos := range qNew.handlePos {
+						if pos >= 0 && !readySet[h] && readyBits>>(uint(h)%64)&1 == 0 {
+							readySet[h] = true
+							qNew.MarkReady(h)
+						}
+					}
+					ready := func(h int) bool { return readySet[h] }
 					width := int(r>>8)%4 + 1
 					// Independent FU budgets with identical draw sequences.
 					budgetNew, budgetRef := int(r>>16)%5, int(r>>16)%5
@@ -197,7 +212,7 @@ func TestSelectMatchesReference(t *testing.T) {
 						budgetRef--
 						return true
 					}
-					got := qNew.Select(width, ready, fuNew)
+					got := qNew.Select(width, fuNew)
 					want := referenceSelect(qRef, width, ready, fuRef)
 					if len(got) != len(want) {
 						t.Fatalf("step %d: granted %d vs reference %d", step, len(got), len(want))
@@ -206,6 +221,7 @@ func TestSelectMatchesReference(t *testing.T) {
 						if got[i] != want[i] {
 							t.Fatalf("step %d: grant %d = %+v, reference %+v", step, i, got[i], want[i])
 						}
+						delete(readySet, got[i].Handle)
 					}
 				}
 				if err := qNew.CheckInvariants(); err != nil {
@@ -247,7 +263,7 @@ func TestRemovalPreservesIndexValidity(t *testing.T) {
 					readyBits := rng.next()
 					ready := func(h int) bool { return readyBits>>(uint(h)%64)&1 == 0 }
 					var prevSeq uint64
-					for i, g := range q.Select(int(r>>8)%5+1, ready, func(int) bool { return true }) {
+					for i, g := range selectReady(q, int(r>>8)%5+1, ready, unlimitedFU) {
 						if !live[g.Handle] {
 							t.Fatalf("step %d: granted dead or duplicate handle %d", step, g.Handle)
 						}
@@ -270,7 +286,7 @@ func TestRemovalPreservesIndexValidity(t *testing.T) {
 			// Drain everything: every surviving request must still be granted
 			// exactly once from its (possibly shifted) position.
 			for q.Occupancy() > 0 {
-				granted := q.Select(4, func(int) bool { return true }, func(int) bool { return true })
+				granted := selectReady(q, 4, alwaysReady, unlimitedFU)
 				if len(granted) == 0 {
 					t.Fatal("drain stalled with live entries")
 				}

@@ -22,19 +22,31 @@
 // An optional age matrix (§V-G1) lifts the single oldest ready instruction
 // to the highest priority ahead of the positional scan.
 //
+// Readiness is wakeup-driven: the client calls MarkReady(handle) once a
+// queued request's operands are available, which sets that entry's bit in a
+// persistent per-position ready mask. Select iterates only the ready bits in
+// ascending position order — it never consults a readiness predicate — and
+// a granted entry's bit leaves with it. The handle→position map that routes
+// MarkReady is sized at New for handles below Size and grows to cover any
+// larger handle on dispatch (a client that recycles a fixed handle range
+// stops growing it after its first pass over that range).
+//
 // Skip-invariance contract (DESIGN.md §14): the pipeline's idle-cycle skip
 // relies on a failed cycle leaving the queue byte-identical. Every
 // Dispatch* method mutates nothing when it fails (the free list, ring
-// tail, and shift window are only touched on success), and a Select that
-// grants nothing is pure: the ready bitset is per-call scratch, age-matrix
-// marks happen only on grant, and the placement RNG is consumed only on
-// pop/grant. Tests pin both properties; changing either breaks the
-// null-cycle induction even if results still look plausible.
+// tail, shift window, and handle map are only touched on success), and a
+// Select that grants nothing is pure: it reads the ready mask without
+// changing it, and the placement RNG is consumed only on pop/grant. The
+// ready mask itself changes only through MarkReady, which the pipeline
+// calls only from the drain at the top of its issue stage, at readyAt
+// cycles that are completion thresholds already in its wakeup heap. Tests
+// pin these properties; changing any of them breaks the null-cycle
+// induction even if results still look plausible.
 //
 // The phase-2 burst classes (DESIGN.md §14.2) lean on the same contract
 // harder: across a burst span Select is not re-evaluated at all. That is
 // sound only because a zero-grant Select is deterministic in the queue
-// content, the ready set, and the free units — the queue changes only via
+// content, the ready mask, and the free units — the queue changes only via
 // Dispatch*/grants (none during a span), and readiness and unit release
 // happen at completion thresholds the pipeline publishes into its wakeup
 // heap, which bounds every span. A Select that consulted any other state
@@ -99,22 +111,25 @@ type Config struct {
 // Queue is one issue queue instance.
 //
 // Select runs every cycle, so the queue is built to be allocation-free in
-// steady state: used positions are tracked in a word bitset (usedMask) that
-// the select scan iterates with trailing-zero counts instead of probing
-// every slot, and grants accumulate into buffers reused across calls.
+// steady state: used, ready, and (for the flexible select) marked positions
+// are word bitsets that the select scan iterates with trailing-zero counts
+// instead of probing every slot, and grants accumulate into buffers reused
+// across calls.
 type Queue struct {
-	cfg      Config
-	slots    []slot    // physical positions 0..Size-1 (Random/Circular)
-	list     []Request // compacted age-ordered list (Shifting)
-	usedMask []uint64  // bit per used position (Random/Circular)
-	freePri  freeList
-	freeNrm  freeList
-	count    int
-	tail     int // Circular dispatch point
+	cfg        Config
+	slots      []slot    // physical positions 0..Size-1 (Random/Circular)
+	list       []Request // compacted age-ordered list (Shifting)
+	usedMask   []uint64  // bit per used position (Random/Circular)
+	readyMask  []uint64  // bit per queued position marked ready (all kinds)
+	markedMask []uint64  // bit per position holding a Marked request (Flexible)
+	handlePos  []int32   // handle → queued position, -1 when not queued
+	freePri    freeList
+	freeNrm    freeList
+	count      int
+	tail       int // Circular dispatch point
 
 	grantBuf []Request // Select result buffer, reused across calls
 	posBuf   []int     // granted positions, reused across calls
-	readyBuf []uint64  // per-Select readiness cache (AgeMatrix only)
 }
 
 // freeList hands out free entry positions uniformly at random (seeded,
@@ -157,7 +172,6 @@ func (f *freeList) pop() int {
 type slot struct {
 	used     bool
 	priority bool
-	granted  bool // transient mark during a multi-pass Select
 	req      Request
 }
 
@@ -175,18 +189,23 @@ func New(cfg Config) *Queue {
 	if cfg.Flexible && (cfg.PriorityEntries > 0 || cfg.Kind != Random) {
 		panic("iq: flexible select replaces priority entries and requires the random queue")
 	}
-	q := &Queue{cfg: cfg}
+	words := (cfg.Size + 63) / 64
+	q := &Queue{cfg: cfg, readyMask: make([]uint64, words)}
 	switch cfg.Kind {
 	case Random, Circular:
 		q.slots = make([]slot, cfg.Size)
-		q.usedMask = make([]uint64, (cfg.Size+63)/64)
+		q.usedMask = make([]uint64, words)
 	case Shifting:
 		q.list = make([]Request, 0, cfg.Size)
 	default:
 		panic("iq: unknown kind")
 	}
-	if cfg.AgeMatrix {
-		q.readyBuf = make([]uint64, (cfg.Size+63)/64)
+	if cfg.Flexible {
+		q.markedMask = make([]uint64, words)
+	}
+	q.handlePos = make([]int32, cfg.Size)
+	for i := range q.handlePos {
+		q.handlePos[i] = -1
 	}
 	if cfg.Kind == Random {
 		q.freeNrm = newFreeList(0xC0FFEE)
@@ -235,7 +254,7 @@ func (q *Queue) DispatchPriority(r Request) bool {
 	pos := q.freePri.pop()
 	q.slots[pos] = slot{used: true, priority: true, req: r}
 	q.usedMask[pos>>6] |= 1 << (pos & 63)
-	q.count++
+	q.place(r, pos)
 	return true
 }
 
@@ -249,14 +268,14 @@ func (q *Queue) DispatchNormal(r Request) bool {
 		pos := q.freeNrm.pop()
 		q.slots[pos] = slot{used: true, req: r}
 		q.usedMask[pos>>6] |= 1 << (pos & 63)
-		q.count++
+		q.place(r, pos)
 		return true
 	case Shifting:
 		if len(q.list) >= q.cfg.Size {
 			return false
 		}
 		q.list = append(q.list, r)
-		q.count++
+		q.place(r, len(q.list)-1)
 		return true
 	case Circular:
 		if q.slots[q.tail].used {
@@ -264,8 +283,8 @@ func (q *Queue) DispatchNormal(r Request) bool {
 		}
 		q.slots[q.tail] = slot{used: true, req: r}
 		q.usedMask[q.tail>>6] |= 1 << (q.tail & 63)
+		q.place(r, q.tail)
 		q.tail = (q.tail + 1) % q.cfg.Size
-		q.count++
 		return true
 	}
 	return false
@@ -292,46 +311,84 @@ func (q *Queue) DispatchWeighted(r Request, pick float64) bool {
 	return q.DispatchPriority(r)
 }
 
+// place records a successful dispatch of r at pos: occupancy, the handle
+// map, and the flexible select's mark. A new entry is never ready.
+func (q *Queue) place(r Request, pos int) {
+	if r.Handle >= len(q.handlePos) {
+		grown := make([]int32, max(2*len(q.handlePos), r.Handle+1))
+		copy(grown, q.handlePos)
+		for i := len(q.handlePos); i < len(grown); i++ {
+			grown[i] = -1
+		}
+		q.handlePos = grown
+	}
+	q.handlePos[r.Handle] = int32(pos)
+	if r.Marked && q.markedMask != nil {
+		q.markedMask[pos>>6] |= 1 << (pos & 63)
+	}
+	q.count++
+}
+
+// queuedPos returns the position holding handle, or -1 if it is not queued.
+func (q *Queue) queuedPos(handle int) int {
+	if handle < 0 || handle >= len(q.handlePos) {
+		return -1
+	}
+	return int(q.handlePos[handle])
+}
+
+// MarkReady records that the queued request with this handle has its
+// operands available: its entry becomes a Select candidate and stays one
+// until granted. It panics if the handle is not queued.
+func (q *Queue) MarkReady(handle int) {
+	if !q.markReady(handle) {
+		panic(fmt.Sprintf("iq: MarkReady of unqueued handle %d", handle))
+	}
+}
+
+func (q *Queue) markReady(handle int) bool {
+	pos := q.queuedPos(handle)
+	if pos < 0 {
+		return false
+	}
+	q.readyMask[pos>>6] |= 1 << (pos & 63)
+	return true
+}
+
+// IsReady reports whether handle is queued and marked ready.
+func (q *Queue) IsReady(handle int) bool {
+	pos := q.queuedPos(handle)
+	return pos >= 0 && q.readyMask[pos>>6]&(1<<(pos&63)) != 0
+}
+
 // Select grants up to issueWidth ready requests, honouring position-based
 // priority (plus the age matrix when configured), and frees their entries.
-// ready reports whether a handle's operands are available this cycle;
-// fuTryAlloc attempts to claim a function unit of the request's class and
-// returns false when none is free this cycle.
+// Only entries marked by MarkReady are candidates; fuTryAlloc attempts to
+// claim a function unit of the request's class and returns false when none
+// is free this cycle. Candidates are offered to fuTryAlloc in exactly the
+// order a scan of every used position would reach them.
 //
 // The returned slice aliases an internal buffer and is only valid until the
 // next Select call on this queue.
-func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc func(fu int) bool) []Request {
+func (q *Queue) Select(issueWidth int, fuTryAlloc func(fu int) bool) []Request {
 	if issueWidth <= 0 || q.count == 0 {
 		return nil
 	}
 	granted := q.grantBuf[:0]
 	positions := q.posBuf[:0]
 
+	aged := -1 // position the age matrix granted, skipped by the passes
 	if q.cfg.AgeMatrix {
 		// The age matrix picks the single oldest ready instruction and
-		// grants it ahead of the positional arbiter (§V-G1). This scan
-		// already probes every used position, so it doubles as the
-		// readiness evaluation for the positional passes below: results
-		// are cached in readyBuf instead of re-calling ready() per
-		// candidate (ready is by far the most expensive callback — it
-		// walks the pipeline's operand scoreboard).
-		for i := range q.readyBuf {
-			q.readyBuf[i] = 0
-		}
+		// grants it ahead of the positional arbiter (§V-G1).
 		oldest := -1
 		var oldestSeq uint64
-		for it := q.usedPositions(); ; {
-			pos, ok := it.next()
-			if !ok {
-				break
-			}
-			r := q.requestAt(pos)
-			if !ready(r.Handle) {
-				continue
-			}
-			q.readyBuf[pos>>6] |= 1 << (pos & 63)
-			if oldest == -1 || r.Seq < oldestSeq {
-				oldest, oldestSeq = pos, r.Seq
+		for w, rb := range q.readyMask {
+			for ; rb != 0; rb &= rb - 1 {
+				pos := w<<6 + bits.TrailingZeros64(rb)
+				if seq := q.requestAt(pos).Seq; oldest == -1 || seq < oldestSeq {
+					oldest, oldestSeq = pos, seq
+				}
 			}
 		}
 		if oldest >= 0 {
@@ -339,65 +396,39 @@ func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc f
 			if fuTryAlloc(r.FU) {
 				granted = append(granted, *r)
 				positions = append(positions, oldest)
-				// Consume the bit so the positional passes skip this grant.
-				q.readyBuf[oldest>>6] &^= 1 << (oldest & 63)
+				aged = oldest
 			}
 		}
 	}
 
 	passes := 1
 	if q.cfg.Flexible {
-		// Idealized flexible priority: marked requests first, then the rest.
+		// Idealized flexible priority: marked requests first, then the
+		// rest. The passes are disjoint, so no entry is offered twice.
 		passes = 2
 	}
 	for pass := 0; pass < passes; pass++ {
-		wantMarked := q.cfg.Flexible && pass == 0
-		any := !q.cfg.Flexible
-		if q.cfg.AgeMatrix {
-			// Positional pass over the readiness cache: visits only the
-			// ready entries (ascending, so grant order matches the plain
-			// scan exactly); granted entries consume their bit.
-			for w := 0; w < len(q.readyBuf) && len(granted) < issueWidth; w++ {
-				for rb := q.readyBuf[w]; rb != 0 && len(granted) < issueWidth; rb &= rb - 1 {
-					pos := w<<6 + bits.TrailingZeros64(rb)
-					r := q.requestAt(pos)
-					if !any && r.Marked != wantMarked {
-						continue
-					}
-					if !fuTryAlloc(r.FU) {
-						continue
-					}
-					q.readyBuf[w] &^= 1 << (pos & 63)
-					granted = append(granted, *r)
-					positions = append(positions, pos)
+		for w := 0; w < len(q.readyMask) && len(granted) < issueWidth; w++ {
+			cand := q.readyMask[w]
+			if q.cfg.Flexible {
+				if pass == 0 {
+					cand &= q.markedMask[w]
+				} else {
+					cand &^= q.markedMask[w]
 				}
 			}
-			continue
-		}
-		it := q.usedPositions()
-		for len(granted) < issueWidth {
-			pos, ok := it.next()
-			if !ok {
-				break
+			for ; cand != 0 && len(granted) < issueWidth; cand &= cand - 1 {
+				pos := w<<6 + bits.TrailingZeros64(cand)
+				if pos == aged {
+					continue
+				}
+				r := q.requestAt(pos)
+				if !fuTryAlloc(r.FU) {
+					continue
+				}
+				granted = append(granted, *r)
+				positions = append(positions, pos)
 			}
-			r := q.requestAt(pos)
-			if q.cfg.Kind != Shifting && q.slots[pos].granted {
-				continue
-			}
-			if !any && r.Marked != wantMarked {
-				continue
-			}
-			if !ready(r.Handle) {
-				continue
-			}
-			if !fuTryAlloc(r.FU) {
-				continue
-			}
-			if q.cfg.Kind != Shifting {
-				q.slots[pos].granted = true
-			}
-			granted = append(granted, *r)
-			positions = append(positions, pos)
 		}
 	}
 
@@ -421,49 +452,6 @@ func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc f
 	return granted
 }
 
-// usedIter walks used positions in ascending (priority) order. For the
-// Random and Circular kinds it consumes the used bitset word by word with
-// trailing-zero counts; for Shifting it indexes the compacted list. It is a
-// value type so the per-cycle select loop stays allocation-free.
-type usedIter struct {
-	q    *Queue
-	kind Kind
-	word int
-	bits uint64
-	idx  int // Shifting index
-}
-
-func (q *Queue) usedPositions() usedIter {
-	it := usedIter{q: q, kind: q.cfg.Kind}
-	if it.kind != Shifting && len(q.usedMask) > 0 {
-		it.bits = q.usedMask[0]
-	}
-	return it
-}
-
-func (it *usedIter) next() (int, bool) {
-	if it.kind == Shifting {
-		if it.idx >= len(it.q.list) {
-			return 0, false
-		}
-		pos := it.idx
-		it.idx++
-		return pos, true
-	}
-	for {
-		if it.bits != 0 {
-			pos := it.word<<6 + bits.TrailingZeros64(it.bits)
-			it.bits &= it.bits - 1
-			return pos, true
-		}
-		it.word++
-		if it.word >= len(it.q.usedMask) {
-			return 0, false
-		}
-		it.bits = it.q.usedMask[it.word]
-	}
-}
-
 // requestAt returns the queued request at a used position.
 func (q *Queue) requestAt(pos int) *Request {
 	if q.cfg.Kind == Shifting {
@@ -472,41 +460,61 @@ func (q *Queue) requestAt(pos int) *Request {
 	return &q.slots[pos].req
 }
 
-// removeAt frees the entry at a known position.
+// removeAt frees the entry at a known position, taking its ready and
+// marked bits and its handle mapping with it.
 func (q *Queue) removeAt(pos int) {
 	switch q.cfg.Kind {
-	case Random:
+	case Random, Circular:
 		s := &q.slots[pos]
 		if !s.used {
 			panic(fmt.Sprintf("iq: removeAt of free position %d", pos))
 		}
-		if s.priority {
-			q.freePri.push(pos)
-		} else {
-			q.freeNrm.push(pos)
+		q.handlePos[s.req.Handle] = -1
+		if q.cfg.Kind == Random {
+			if s.priority {
+				q.freePri.push(pos)
+			} else {
+				q.freeNrm.push(pos)
+			}
 		}
 		*s = slot{}
-		q.usedMask[pos>>6] &^= 1 << (pos & 63)
-		q.count--
-	case Circular:
-		s := &q.slots[pos]
-		if !s.used {
-			panic(fmt.Sprintf("iq: removeAt of free position %d", pos))
+		bit := uint64(1) << (pos & 63)
+		q.usedMask[pos>>6] &^= bit
+		q.readyMask[pos>>6] &^= bit
+		if q.markedMask != nil {
+			q.markedMask[pos>>6] &^= bit
 		}
-		*s = slot{}
-		q.usedMask[pos>>6] &^= 1 << (pos & 63)
-		q.count--
 	case Shifting:
+		q.handlePos[q.list[pos].Handle] = -1
 		q.list = append(q.list[:pos], q.list[pos+1:]...) // compaction
-		q.count--
+		removeBit(q.readyMask, pos)                      // the mask follows it
+		for i := pos; i < len(q.list); i++ {
+			q.handlePos[q.list[i].Handle] = int32(i)
+		}
+	}
+	q.count--
+}
+
+// removeBit deletes bit pos from a multi-word bitset, shifting every higher
+// bit down one position (the shifting queue's compaction, applied to a
+// per-position mask).
+func removeBit(mask []uint64, pos int) {
+	w, b := pos>>6, uint(pos&63)
+	low := mask[w] & (1<<b - 1)
+	mask[w] = low | mask[w]>>(b+1)<<b
+	for i := w + 1; i < len(mask); i++ {
+		mask[i-1] |= mask[i] << 63
+		mask[i] >>= 1
 	}
 }
 
 // CheckInvariants audits the queue's structural state: occupancy within
 // capacity and consistent with the slot/list contents, priority entries
 // only in the reserved positions and never more than configured, free
-// lists disjoint from used slots, and no stale transient grant marks.
-// Violations wrap simerr.ErrInvariant.
+// lists disjoint from used slots, ready and marked bits only on queued
+// positions (marked bits exactly on Marked requests), and a handle map
+// that names every queued entry's position and nothing else. Violations
+// wrap simerr.ErrInvariant.
 func (q *Queue) CheckInvariants() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: iq(%s): %s", simerr.ErrInvariant, q.cfg.Kind, fmt.Sprintf(format, args...))
@@ -517,10 +525,20 @@ func (q *Queue) CheckInvariants() error {
 	switch q.cfg.Kind {
 	case Random, Circular:
 		used, priority := 0, 0
+		for w := range q.usedMask {
+			if stray := q.readyMask[w] &^ q.usedMask[w]; stray != 0 {
+				return bad("ready bit on free position %d", w<<6+bits.TrailingZeros64(stray))
+			}
+		}
 		for pos := range q.slots {
 			s := &q.slots[pos]
 			if got := q.usedMask[pos>>6]&(1<<(pos&63)) != 0; got != s.used {
 				return bad("used bitset disagrees with slot %d (bit %v, slot %v)", pos, got, s.used)
+			}
+			if q.markedMask != nil {
+				if got := q.markedMask[pos>>6]&(1<<(pos&63)) != 0; got != (s.used && s.req.Marked) {
+					return bad("marked bitset disagrees with slot %d (bit %v)", pos, got)
+				}
 			}
 			if !s.used {
 				if s.priority {
@@ -529,9 +547,6 @@ func (q *Queue) CheckInvariants() error {
 				continue
 			}
 			used++
-			if s.granted {
-				return bad("position %d holds a stale grant mark", pos)
-			}
 			if s.priority {
 				priority++
 				if pos >= q.cfg.PriorityEntries {
@@ -572,6 +587,25 @@ func (q *Queue) CheckInvariants() error {
 				return bad("age order broken at position %d (seq %d after %d)", i, q.list[i].Seq, q.list[i-1].Seq)
 			}
 		}
+		for pos := len(q.list); pos < q.cfg.Size; pos++ {
+			if q.readyMask[pos>>6]&(1<<(pos&63)) != 0 {
+				return bad("ready bit on free position %d", pos)
+			}
+		}
+	}
+	mapped := 0
+	for h, pos := range q.handlePos {
+		if pos < 0 {
+			continue
+		}
+		mapped++
+		if int(pos) >= q.cfg.Size || (q.cfg.Kind == Shifting && int(pos) >= len(q.list)) ||
+			(q.cfg.Kind != Shifting && !q.slots[pos].used) || q.requestAt(int(pos)).Handle != h {
+			return bad("handle %d maps to position %d, which does not hold it", h, pos)
+		}
+	}
+	if mapped != q.count {
+		return bad("occupancy %d but %d handles mapped", q.count, mapped)
 	}
 	return nil
 }
@@ -590,8 +624,11 @@ func (q *Queue) Reset() {
 		q.slots[i] = slot{}
 	}
 	q.list = q.list[:0]
-	for i := range q.usedMask {
-		q.usedMask[i] = 0
+	clear(q.usedMask)
+	clear(q.readyMask)
+	clear(q.markedMask)
+	for i := range q.handlePos {
+		q.handlePos[i] = -1
 	}
 	q.count = 0
 	q.tail = 0

@@ -11,6 +11,23 @@ func alwaysReady(int) bool { return true }
 
 func unlimitedFU(int) bool { return true }
 
+// markReady marks every queued request whose handle satisfies ready — the
+// tests' stand-in for the pipeline's wakeup drain. Marks persist until the
+// entry is granted, so ready predicates must be monotone across calls.
+func markReady(q *Queue, ready func(h int) bool) {
+	for h, pos := range q.handlePos {
+		if pos >= 0 && ready(h) {
+			q.MarkReady(h)
+		}
+	}
+}
+
+// selectReady marks the entries ready reports and then selects.
+func selectReady(q *Queue, issueWidth int, ready, fuTryAlloc func(int) bool) []Request {
+	markReady(q, ready)
+	return q.Select(issueWidth, fuTryAlloc)
+}
+
 func req(h int, seq uint64) Request {
 	return Request{Handle: h, Seq: seq, FU: int(isa.ClassIntALU)}
 }
@@ -25,7 +42,7 @@ func TestDispatchAndSelectBasics(t *testing.T) {
 	if q.Occupancy() != 3 {
 		t.Errorf("occupancy = %d", q.Occupancy())
 	}
-	granted := q.Select(4, alwaysReady, unlimitedFU)
+	granted := selectReady(q, 4, alwaysReady, unlimitedFU)
 	if len(granted) != 3 {
 		t.Fatalf("granted %d, want 3", len(granted))
 	}
@@ -39,7 +56,7 @@ func TestIssueWidthLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.DispatchNormal(req(i, uint64(i)))
 	}
-	if got := len(q.Select(4, alwaysReady, unlimitedFU)); got != 4 {
+	if got := len(selectReady(q, 4, alwaysReady, unlimitedFU)); got != 4 {
 		t.Errorf("granted %d, want issue width 4", got)
 	}
 }
@@ -57,7 +74,7 @@ func TestFULimit(t *testing.T) {
 		remaining--
 		return true
 	}
-	if got := len(q.Select(8, alwaysReady, fu)); got != 2 {
+	if got := len(selectReady(q, 8, alwaysReady, fu)); got != 2 {
 		t.Errorf("granted %d, want 2 (FU bound)", got)
 	}
 }
@@ -67,13 +84,42 @@ func TestReadyGating(t *testing.T) {
 	q.DispatchNormal(req(1, 1))
 	q.DispatchNormal(req(2, 2))
 	ready := func(h int) bool { return h == 2 }
-	granted := q.Select(4, ready, unlimitedFU)
+	granted := selectReady(q, 4, ready, unlimitedFU)
 	if len(granted) != 1 || granted[0].Handle != 2 {
 		t.Errorf("granted %v", granted)
 	}
 	if q.Occupancy() != 1 {
 		t.Error("unready entry must stay queued")
 	}
+}
+
+// TestReadyMarkPersists: a ready entry that loses its function unit stays
+// ready for the next Select without being marked again; unmarked entries
+// are never granted; marking an unqueued handle panics.
+func TestReadyMarkPersists(t *testing.T) {
+	q := New(Config{Size: 8, Kind: Random})
+	q.DispatchNormal(req(1, 1))
+	q.DispatchNormal(req(2, 2))
+	q.MarkReady(1)
+	if got := q.Select(4, func(int) bool { return false }); len(got) != 0 {
+		t.Fatalf("granted %v with no free unit", got)
+	}
+	if !q.IsReady(1) || q.IsReady(2) {
+		t.Fatalf("IsReady = %v/%v after a zero-grant select, want true/false", q.IsReady(1), q.IsReady(2))
+	}
+	granted := q.Select(4, unlimitedFU)
+	if len(granted) != 1 || granted[0].Handle != 1 {
+		t.Fatalf("granted %v, want handle 1 only", granted)
+	}
+	if q.IsReady(1) {
+		t.Error("granted handle still reported ready")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MarkReady of an unqueued handle should panic")
+		}
+	}()
+	q.MarkReady(1)
 }
 
 func TestPriorityEntriesWinSelection(t *testing.T) {
@@ -87,7 +133,7 @@ func TestPriorityEntriesWinSelection(t *testing.T) {
 	}
 	// With one grant available, the priority entry (position 0..1) wins
 	// despite being the youngest.
-	granted := q.Select(1, alwaysReady, unlimitedFU)
+	granted := selectReady(q, 1, alwaysReady, unlimitedFU)
 	if len(granted) != 1 || granted[0].Handle != 99 {
 		t.Errorf("granted %v, want the priority entry", granted)
 	}
@@ -105,7 +151,7 @@ func TestPriorityCapacity(t *testing.T) {
 		t.Errorf("free = %d/%d", q.PriorityFree(), q.NormalFree())
 	}
 	// Issuing a priority entry frees it back to the priority list.
-	q.Select(1, alwaysReady, unlimitedFU)
+	selectReady(q, 1, alwaysReady, unlimitedFU)
 	if q.PriorityFree() != 1 {
 		t.Error("issued priority entry not recycled")
 	}
@@ -137,7 +183,7 @@ func TestAgeMatrixPicksOldest(t *testing.T) {
 	q.DispatchNormal(req(10, 50))
 	q.DispatchNormal(req(11, 51))
 	q.DispatchNormal(req(12, 1)) // oldest, position 2
-	granted := q.Select(1, alwaysReady, unlimitedFU)
+	granted := selectReady(q, 1, alwaysReady, unlimitedFU)
 	if len(granted) != 1 || granted[0].Handle != 12 {
 		t.Errorf("age matrix granted %v, want the oldest (handle 12)", granted)
 	}
@@ -150,7 +196,7 @@ func TestAgeMatrixRespectsFU(t *testing.T) {
 	q.DispatchNormal(old)
 	q.DispatchNormal(young)
 	fu := func(class int) bool { return class == int(isa.ClassIntALU) }
-	granted := q.Select(2, alwaysReady, fu)
+	granted := selectReady(q, 2, alwaysReady, fu)
 	if len(granted) != 1 || granted[0].Handle != 2 {
 		t.Errorf("granted %v, want only the ALU op", granted)
 	}
@@ -165,12 +211,12 @@ func TestShiftingQueueAgeOrder(t *testing.T) {
 		t.Error("full shifting queue accepted dispatch")
 	}
 	// Only entry 2 ready: select grants it; compaction preserves order.
-	granted := q.Select(1, func(h int) bool { return h == 2 }, unlimitedFU)
+	granted := selectReady(q, 1, func(h int) bool { return h == 2 }, unlimitedFU)
 	if len(granted) != 1 || granted[0].Handle != 2 {
 		t.Fatalf("granted %v", granted)
 	}
 	// Next select with everything ready grants in age order 0,1,3.
-	granted = q.Select(4, alwaysReady, unlimitedFU)
+	granted = selectReady(q, 4, alwaysReady, unlimitedFU)
 	want := []int{0, 1, 3}
 	for i, g := range granted {
 		if g.Handle != want[i] {
@@ -185,14 +231,14 @@ func TestCircularQueueTailBlocking(t *testing.T) {
 		q.DispatchNormal(req(i, uint64(i)))
 	}
 	// Issue the instruction in the middle (hole at position 1).
-	q.Select(1, func(h int) bool { return h == 1 }, unlimitedFU)
+	selectReady(q, 1, func(h int) bool { return h == 1 }, unlimitedFU)
 	// Tail points at position 0 (still used): dispatch blocks even though a
 	// hole exists — the capacity inefficiency the paper describes.
 	if q.DispatchNormal(req(9, 9)) {
 		t.Error("circular queue dispatched into a hole behind the tail")
 	}
 	// Drain position 0; the tail slot frees and dispatch succeeds.
-	q.Select(1, func(h int) bool { return h == 0 }, unlimitedFU)
+	selectReady(q, 1, func(h int) bool { return h == 0 }, unlimitedFU)
 	if !q.DispatchNormal(req(9, 9)) {
 		t.Error("circular queue should accept dispatch at the freed tail")
 	}
@@ -233,7 +279,7 @@ func TestQuickFreeListConservation(t *testing.T) {
 			case 2:
 				q.DispatchWeighted(req(int(seq), seq), float64(op)/255)
 			case 3:
-				granted := q.Select(4, func(h int) bool { return h%2 == 0 }, unlimitedFU)
+				granted := selectReady(q, 4, func(h int) bool { return h%2 == 0 }, unlimitedFU)
 				if len(granted) > 4 {
 					return false
 				}
@@ -261,7 +307,7 @@ func TestQuickNoLostOrDuplicatedGrants(t *testing.T) {
 		}
 		seen := make(map[int]bool)
 		for q.Occupancy() > 0 {
-			for _, g := range q.Select(4, alwaysReady, unlimitedFU) {
+			for _, g := range selectReady(q, 4, alwaysReady, unlimitedFU) {
 				if seen[g.Handle] {
 					return false // duplicate grant
 				}

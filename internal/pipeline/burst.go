@@ -16,11 +16,12 @@ package pipeline
 // wakeheap.go):
 //
 //   - issue: a zero-grant Select is pure and deterministic in the IQ
-//     content, the ready set, and the free function units. The IQ only
-//     changes via dispatch (frozen) and grants (none). Readiness only
-//     changes at uop completion thresholds (≥ T). Units only free at
-//     fuBusy thresholds (≥ T). So Select would return zero grants every
-//     cycle of the span — it is skipped, which is the main saving.
+//     content, the ready mask, and the free function units. The IQ only
+//     changes via dispatch (frozen) and grants (none). The ready mask
+//     only changes when issue() drains readyAt cycles, which are uop
+//     completion thresholds (≥ T). Units only free at fuBusy thresholds
+//     (≥ T). So Select would return zero grants every cycle of the span
+//     — it is skipped, which is the main saving.
 //
 //   - drainStores: acts only when sbLen > 0 and a D-port threshold has
 //     passed; ports free at heap thresholds (≥ T), and sbLen grows only

@@ -78,6 +78,7 @@ func (s *Sim) Reset() {
 	s.act, s.stallCtr, s.stallRand = 0, nil, false
 	s.polled, s.skipSpans, s.skippedCycles = 0, 0, 0
 	s.wake.clear()
+	s.ready.a = s.ready.a[:0]
 	s.fetchBurstSpans, s.fetchBurstCycles = 0, 0
 	s.commitBurstSpans, s.commitBurstCycles = 0, 0
 	s.telemetryFlushed = SkipTelemetry{}

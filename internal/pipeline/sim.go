@@ -42,7 +42,9 @@ type issueQueue interface {
 	DispatchPriority(iq.Request) bool
 	DispatchNormal(iq.Request) bool
 	DispatchWeighted(iq.Request, float64) bool
-	Select(int, func(int) bool, func(int) bool) []iq.Request
+	MarkReady(int)
+	IsReady(int) bool
+	Select(int, func(int) bool) []iq.Request
 	Occupancy() int
 	PriorityFree() int
 	CheckInvariants() error
@@ -92,6 +94,12 @@ type uop struct {
 	completeCycle int64
 	dispatchCycle int64
 	issueCycle    int64
+
+	// Wakeup bookkeeping (wakeup.go).
+	waiting int      // producers (incl. a forwarding store) not yet scheduled
+	readyAt int64    // latest completion among the scheduled producers
+	waiters int32    // head link of the consumers waiting on this uop
+	next    [3]int32 // per source slot: next link in its producer's list
 }
 
 // fqEntry is one instruction flowing down the front end.
@@ -187,10 +195,14 @@ type Sim struct {
 	fuRemaining [4]int     // per pool: units still grantable this cycle
 	dports      []int64    // D-cache ports: next-free cycle
 
-	// The select predicates are bound once at construction: method values
-	// created inside the cycle loop would allocate a closure per cycle.
-	readyFn func(int) bool
-	fuFn    func(int) bool
+	// The FU-allocation callback is bound once at construction: a method
+	// value created inside the cycle loop would allocate a closure per
+	// cycle.
+	fuFn func(int) bool
+
+	// ready is the time-ordered set of uops whose producers are all
+	// scheduled, awaiting their readyAt cycle to be marked in the IQ.
+	ready readyHeap
 
 	// storeBuf is a fixed-capacity ring buffer of committed store addresses
 	// awaiting drain: sbHead indexes the oldest, sbLen counts occupancy.
@@ -314,8 +326,8 @@ func New(cfg Config) (*Sim, error) {
 	s.dports = make([]int64, 2)
 	s.fetchQ = make([]fqEntry, 4*cfg.FetchWidth)
 	s.storeBuf = make([]uint64, cfg.StoreBufferSize)
-	s.readyFn = s.opReady
 	s.fuFn = s.fuTryAlloc
+	s.ready.a = make([]readyEntry, 0, cfg.ROBSize)
 	// Sized so the steady-state live-threshold population (bounded by the
 	// ROB plus the fixed structures) never forces a reallocation.
 	s.wake.init(4*cfg.ROBSize + 64)
@@ -441,37 +453,6 @@ func (s *Sim) peek() (emu.DynInst, bool) {
 }
 
 func (s *Sim) take() { s.hasPending = false }
-
-// valueReady reports whether the value identified by sr is available at the
-// start of the current cycle. A dead or recycled producer means the value
-// is architected (the producer committed).
-func (s *Sim) valueReady(sr src) bool {
-	if sr.h < 0 {
-		return true
-	}
-	u := &s.uops[sr.h]
-	if !u.live || u.di.Seq != sr.seq {
-		return true
-	}
-	return u.scheduled && u.completeCycle <= s.now
-}
-
-// opReady is the IQ wakeup predicate.
-func (s *Sim) opReady(h int) bool {
-	u := &s.uops[h]
-	for i := 0; i < u.nsrc; i++ {
-		if !s.valueReady(u.srcs[i]) {
-			return false
-		}
-	}
-	if u.hasFwd {
-		f := &s.uops[u.fwd.h]
-		if f.live && f.di.Seq == u.fwd.seq && !f.issued {
-			return false // forwarding source must have executed
-		}
-	}
-	return true
-}
 
 // ---------- fetch ----------
 
@@ -727,19 +708,24 @@ func (s *Sim) dispatch() {
 		s.freeU = s.freeU[:len(s.freeU)-1]
 		s.act |= actDispatch
 
+		// Built in place: assigning a uop literal copies the whole struct,
+		// DynInst included, through a stack temporary.
 		u := &s.uops[h]
-		*u = uop{
-			live:          true,
-			di:            f.di,
-			class:         f.di.Class,
-			fetchCycle:    f.fetchCycle,
-			unconf:        f.unconf,
-			inPriority:    inPriority,
-			mispredict:    f.mispredict,
-			predCorrect:   f.predCorrect,
-			dispatchCycle: s.now,
-			issueCycle:    -1,
-		}
+		u.live = true
+		u.di = f.di
+		u.class = f.di.Class
+		u.fetchCycle = f.fetchCycle
+		u.unconf = f.unconf
+		u.inPriority = inPriority
+		u.mispredict = f.mispredict
+		u.predCorrect = f.predCorrect
+		u.srcs, u.nsrc = [2]src{}, 0
+		u.fwd, u.hasFwd = src{}, false
+		u.issued, u.scheduled = false, false
+		u.completeCycle = 0
+		u.dispatchCycle = s.now
+		u.issueCycle = -1
+		u.waiting, u.readyAt, u.waiters = 0, 0, 0
 		srcs, nsrc := f.di.Inst.Sources()
 		for i := 0; i < nsrc; i++ {
 			r := srcs[i]
@@ -778,6 +764,8 @@ func (s *Sim) dispatch() {
 			u.scheduled = true
 			u.completeCycle = s.now + 1
 			s.wake.push(u.completeCycle, s.now) // commit-head unblock
+		} else {
+			s.trackReadiness(h)
 		}
 		s.fqHead = (s.fqHead + 1) % len(s.fetchQ)
 		s.fqLen--
@@ -787,6 +775,7 @@ func (s *Sim) dispatch() {
 // ---------- issue + execute scheduling ----------
 
 func (s *Sim) issue() {
+	s.drainReady()
 	for p := range s.fuBusy {
 		free := 0
 		for _, busy := range s.fuBusy[p] {
@@ -796,7 +785,7 @@ func (s *Sim) issue() {
 		}
 		s.fuRemaining[p] = free
 	}
-	granted := s.q.Select(s.cfg.IssueWidth, s.readyFn, s.fuFn)
+	granted := s.q.Select(s.cfg.IssueWidth, s.fuFn)
 	if len(granted) > 0 {
 		s.act |= actIssue // a zero-grant Select mutates nothing
 	}
@@ -870,6 +859,7 @@ func (s *Sim) schedule(h int) {
 	s.st.Issued++
 	// The completion wakes IQ dependents and unblocks the ROB head.
 	s.wake.push(u.completeCycle, s.now)
+	s.wakeWaiters(u)
 
 	if u.mispredict && s.blockedOnSeq == u.di.Seq {
 		s.fetchResumeAt = u.completeCycle + s.cfg.RecoveryPenalty

@@ -101,7 +101,8 @@ func (s *Sim) deadlockError() *DeadlockError {
 // enabled for whole campaigns.
 const checkInterval = 64
 
-// checkInvariants audits every window structure and the PUBS tables.
+// checkInvariants audits every window structure, the PUBS tables, and the
+// wakeup state against the readiness predicate it replaces.
 func (s *Sim) checkInvariants() error {
 	if err := s.q.CheckInvariants(); err != nil {
 		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
@@ -116,6 +117,9 @@ func (s *Sim) checkInvariants() error {
 		if err := s.pubs.CheckInvariants(); err != nil {
 			return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
 		}
+	}
+	if err := s.checkWakeup(); err != nil {
+		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
 	}
 	return nil
 }
