@@ -19,9 +19,10 @@ package pipeline
 //     content, the ready mask, and the free function units. The IQ only
 //     changes via dispatch (frozen) and grants (none). The ready mask
 //     only changes when issue() drains readyAt cycles, which are uop
-//     completion thresholds (≥ T). Units only free at fuBusy thresholds
-//     (≥ T). So Select would return zero grants every cycle of the span
-//     — it is skipped, which is the main saving.
+//     completion thresholds (≥ T), and when dispatch acts (frozen; a
+//     commit-run burst ends on the cycle it acts). Units only free at
+//     fuBusy thresholds (≥ T). So Select would return zero grants every
+//     cycle of the span — it is skipped, which is the main saving.
 //
 //   - drainStores: acts only when sbLen > 0 and a D-port threshold has
 //     passed; ports free at heap thresholds (≥ T), and sbLen grows only

@@ -454,6 +454,16 @@ func (s *Sim) peek() (emu.DynInst, bool) {
 
 func (s *Sim) take() { s.hasPending = false }
 
+// ring wraps a ring-buffer index i < 2n into [0, n). The fetch queue and
+// the store buffer are not power-of-two sized, and a conditional wrap is
+// cheaper than the integer division of i % n.
+func ring(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 // ---------- fetch ----------
 
 // lineReady models the single-line I-cache buffer: a new line is requested
@@ -562,7 +572,7 @@ func (s *Sim) fetch() {
 			if !s.lineReady(tr.Pre.PCAt(tr.pos)) {
 				break
 			}
-			f = &s.fetchQ[(s.fqHead+s.fqLen)%len(s.fetchQ)]
+			f = &s.fetchQ[ring(s.fqHead+s.fqLen, len(s.fetchQ))]
 			*f = fqEntry{fetchCycle: s.now}
 			tr.Pre.Fill(tr.pos, tr.Decode, &f.di)
 			tr.pos++
@@ -581,7 +591,7 @@ func (s *Sim) fetch() {
 				break
 			}
 			s.take()
-			f = &s.fetchQ[(s.fqHead+s.fqLen)%len(s.fetchQ)]
+			f = &s.fetchQ[ring(s.fqHead+s.fqLen, len(s.fetchQ))]
 			*f = fqEntry{di: di, fetchCycle: s.now}
 		}
 		stop := s.fetchControl(f)
@@ -767,7 +777,7 @@ func (s *Sim) dispatch() {
 		} else {
 			s.trackReadiness(h)
 		}
-		s.fqHead = (s.fqHead + 1) % len(s.fetchQ)
+		s.fqHead = ring(s.fqHead+1, len(s.fetchQ))
 		s.fqLen--
 	}
 }
@@ -834,7 +844,7 @@ func (s *Sim) schedule(h int) {
 			// from the store buffer.
 			la := u.di.Addr &^ 7
 			for i := 0; i < s.sbLen; i++ {
-				if s.storeBuf[(s.sbHead+i)%len(s.storeBuf)]&^7 == la {
+				if s.storeBuf[ring(s.sbHead+i, len(s.storeBuf))]&^7 == la {
 					forwarded = true
 					u.completeCycle = agen + 2
 					break
@@ -953,7 +963,7 @@ func (s *Sim) drainStores() {
 			s.dports[i] = s.now + 1
 			s.wake.push(s.now+1, s.now)
 			s.l1d.Access(s.storeBuf[s.sbHead], s.now, true)
-			s.sbHead = (s.sbHead + 1) % len(s.storeBuf)
+			s.sbHead = ring(s.sbHead+1, len(s.storeBuf))
 			s.sbLen--
 			return
 		}
@@ -977,7 +987,7 @@ func (s *Sim) commit() {
 			if s.sbLen >= len(s.storeBuf) {
 				break // store buffer full: commit stalls (pure — no mutation)
 			}
-			s.storeBuf[(s.sbHead+s.sbLen)%len(s.storeBuf)] = u.di.Addr
+			s.storeBuf[ring(s.sbHead+s.sbLen, len(s.storeBuf))] = u.di.Addr
 			s.sbLen++
 		}
 		s.act |= actCommit // the instruction retires this cycle

@@ -143,11 +143,18 @@ func BenchmarkStoreBufferFillDrain(b *testing.B) {
 }
 
 // BenchmarkNextWake contrasts the event-heap wakeup index against the
-// pre-heap threshold rescan it replaced. One op is one nextWake query on a
-// live steady-state machine (treewalk: in-flight misses, busy units, and
-// queued fetches keep the threshold population realistic). The heap's cost
-// is the lazy stale-drain at the top; the scan's is a walk over every uop,
-// function-unit slot, and port — the gap is the per-skip-attempt saving.
+// pre-heap threshold rescan it replaced. One op of heap/scan is one
+// nextWake query on a live steady-state machine (treewalk: in-flight
+// misses, busy units, and queued fetches keep the threshold population
+// realistic). The heap's cost is the lazy stale-drain at the top; the
+// scan's is a walk over every uop, function-unit slot, and port — the gap
+// is the per-skip-attempt saving.
+//
+// One op of push/push-undeduped is one cycle's insertions on the pubs
+// machine: FetchWidth equal now+FrontEndDepth maturity thresholds, as
+// fetch pushes them, plus IssueWidth completions of which most share a
+// latency, as schedule pushes them. push-undeduped replays the same
+// pattern into the index without its dedupe table (the test oracle).
 func BenchmarkNextWake(b *testing.B) {
 	setup := func(b *testing.B) *Sim {
 		s, err := New(PUBSConfig())
@@ -189,6 +196,45 @@ func BenchmarkNextWake(b *testing.B) {
 			}
 		}
 		benchSink = sink
+	})
+	cfg := PUBSConfig()
+	lat := [8]int64{1, 1, 3, 1, 1, 4, 1, 20}
+	// wakes fills buf with cycle now's thresholds.
+	wakes := func(buf []int64, now int64) []int64 {
+		buf = buf[:0]
+		for n := 0; n < cfg.FetchWidth; n++ {
+			buf = append(buf, now+cfg.FrontEndDepth)
+		}
+		for n := 0; n < cfg.IssueWidth; n++ {
+			buf = append(buf, now+lat[(int(now)+n)&7])
+		}
+		return buf
+	}
+	buf := make([]int64, 0, cfg.FetchWidth+cfg.IssueWidth)
+	b.Run("push", func(b *testing.B) {
+		var h wakeHeap
+		h.init(4*cfg.ROBSize + 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now := int64(i)
+			for _, v := range wakes(buf, now) {
+				h.push(v, now)
+			}
+		}
+		benchSink = h.next(int64(b.N))
+	})
+	b.Run("push-undeduped", func(b *testing.B) {
+		h := refWakeHeap{a: make([]int64, 0, 4*cfg.ROBSize+64)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			now := int64(i)
+			for _, v := range wakes(buf, now) {
+				h.push(v, now)
+			}
+		}
+		benchSink = h.next(int64(b.N))
 	})
 }
 

@@ -1,5 +1,12 @@
 package pipeline
 
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/simerr"
+)
+
 // wakeHeap is the event index behind nextWake (DESIGN.md §14, phase 2): a
 // binary min-heap of absolute-cycle thresholds. Stages push a threshold at
 // the moment they create it — a completion cycle, a busy-until cycle, a
@@ -29,8 +36,23 @@ package pipeline
 //     the machine's latency horizon, the heap's steady-state size is
 //     bounded by the live-threshold population and append stops
 //     allocating (the zero-allocation regression tests cover this).
+//
+//   - Exact dedupe: push records each inserted threshold in seen, a
+//     direct-mapped table indexed by v&63, and drops v outright when its
+//     slot already holds v and v > now. An entry leaves the heap only once
+//     it is ≤ now, and now only moves forward between clear calls, so a
+//     recorded value still > now is still in the heap and the drop loses
+//     nothing. fetchDrainBurst rewinds now by one cycle, but only after a
+//     cycle in which fetch mutated nothing and hence pushed nothing, and it
+//     enters that cycle only when the heap holds nothing ≤ now+1, so the
+//     rewound cycle popped nothing either. A collision overwrites the slot
+//     and costs one redundant insert, never a lost one. next therefore
+//     answers exactly as the heap without the table would, at every query.
+//     clear zeroes the table: Reset restarts now at 0, under thresholds an
+//     earlier run recorded.
 type wakeHeap struct {
-	a []int64
+	a    []int64
+	seen [64]int64
 }
 
 // init sizes the backing array so steady state never reallocates.
@@ -38,11 +60,15 @@ func (h *wakeHeap) init(capHint int) {
 	h.a = make([]int64, 0, capHint)
 }
 
-// clear empties the heap, keeping the backing array (Reset path).
-func (h *wakeHeap) clear() { h.a = h.a[:0] }
+// clear empties the heap and the dedupe table, keeping the backing array
+// (Reset path).
+func (h *wakeHeap) clear() {
+	h.a = h.a[:0]
+	h.seen = [64]int64{}
+}
 
-// push inserts threshold v, dropping it outright if it is not in the
-// future, after pruning up to two stale tops.
+// push inserts threshold v, after pruning up to two stale tops. It drops v
+// outright if v is not in the future or is already indexed.
 func (h *wakeHeap) push(v, now int64) {
 	if len(h.a) > 0 && h.a[0] <= now {
 		h.pop()
@@ -50,9 +76,10 @@ func (h *wakeHeap) push(v, now int64) {
 			h.pop()
 		}
 	}
-	if v <= now {
+	if v <= now || h.seen[v&63] == v {
 		return
 	}
+	h.seen[v&63] = v
 	h.a = append(h.a, v)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -98,4 +125,16 @@ func (h *wakeHeap) next(now int64) int64 {
 		return neverWakes
 	}
 	return h.a[0]
+}
+
+// check audits the dedupe table (Config.Checks): every slot holding a
+// value still in the future must name a threshold present in the heap.
+func (h *wakeHeap) check(now int64) error {
+	for i, v := range h.seen {
+		if v > now && !slices.Contains(h.a, v) {
+			return fmt.Errorf("%w: wakeHeap: dedupe slot %d holds %d > now but the heap lacks it",
+				simerr.ErrInvariant, i, v)
+		}
+	}
+	return nil
 }

@@ -24,16 +24,19 @@ import (
 //     the load may first select.
 //   - A uop whose count reaches zero enters the ready set, a min-heap on
 //     readyAt, which drainReady empties into the issue queue's ready mask
-//     at the top of issue() once readyAt ≤ now.
+//     at the top of issue() once readyAt ≤ now. A uop dispatched with no
+//     outstanding producer and readyAt ≤ now skips the ready set: dispatch
+//     marks it directly.
 //
 // Idle-skip contract: every readyAt is the maximum of completion cycles,
 // each pushed into the wakeHeap when it was assigned, so the ready mask
-// changes only at a wakeHeap threshold or on the cycle right after an
-// acting dispatch — never inside a skipped or bursted span. The drain
-// therefore does not mark s.act: marking bits that a zero-grant Select
-// then ignores leaves every later cycle of the span identical, just as
-// the predicate it replaces evaluated identically until the next
-// threshold.
+// changes only at a wakeHeap threshold, during an acting dispatch, or on
+// the cycle right after one — never inside a skipped or bursted span (an
+// acting dispatch sets s.act, so its cycle is never skipped, and a
+// commit-run burst ends on it). The drain therefore does not mark s.act:
+// marking bits that a zero-grant Select then ignores leaves every later
+// cycle of the span identical, just as the predicate it replaces
+// evaluated identically until the next threshold.
 
 // Waiter links live inside the consumer uops: link id 3h+slot+1 names
 // consumer h's source slot (0, 1: registers; fwdSlot: forwarding store),
@@ -60,8 +63,9 @@ func (s *Sim) dependOn(h, slot int, sr src) {
 	u.waiting++
 }
 
-// trackReadiness links a freshly dispatched queued uop onto its producers,
-// or hands it to the ready set when none is outstanding.
+// trackReadiness links a freshly dispatched queued uop onto its producers.
+// When none is outstanding it marks the uop ready in the IQ if its
+// operands already exist, or hands it to the ready set otherwise.
 func (s *Sim) trackReadiness(h int) {
 	u := &s.uops[h]
 	for i := 0; i < u.nsrc; i++ {
@@ -70,7 +74,15 @@ func (s *Sim) trackReadiness(h int) {
 	if u.hasFwd {
 		s.dependOn(h, fwdSlot, u.fwd)
 	}
-	if u.waiting == 0 {
+	switch {
+	case u.waiting != 0:
+		// wakeWaiters hands it on once its last producer is scheduled.
+	case u.readyAt <= s.now:
+		// Dispatch runs after this cycle's Select and nothing reads the
+		// mask before the next issue(), so marking now is the drain that
+		// issue() would do.
+		s.q.MarkReady(h)
+	default:
 		s.ready.push(u.readyAt, h)
 	}
 }

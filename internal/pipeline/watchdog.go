@@ -101,8 +101,9 @@ func (s *Sim) deadlockError() *DeadlockError {
 // enabled for whole campaigns.
 const checkInterval = 64
 
-// checkInvariants audits every window structure, the PUBS tables, and the
-// wakeup state against the readiness predicate it replaces.
+// checkInvariants audits every window structure, the PUBS tables, the
+// wakeup state against the readiness predicate it replaces, and the wake
+// index's dedupe table.
 func (s *Sim) checkInvariants() error {
 	if err := s.q.CheckInvariants(); err != nil {
 		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
@@ -119,6 +120,9 @@ func (s *Sim) checkInvariants() error {
 		}
 	}
 	if err := s.checkWakeup(); err != nil {
+		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
+	}
+	if err := s.wake.check(s.now); err != nil {
 		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
 	}
 	return nil
