@@ -1,94 +1,27 @@
 package main
 
-// Quasi-null burst benchmark harness (BENCH_8): -bench-burst-out measures
-// the phase-2 burst integration (DESIGN.md §14 phase 2) against phase-1
-// skipping (Config.NoBurstSkip — null-span skipping only, no burst
-// classes) on two workload groups:
+// BENCH_8 measures phase-2 burst integration (DESIGN.md §14 phase 2)
+// against phase-1 skipping (Config.NoBurstSkip: null-span skipping only,
+// no burst classes) on two groups:
 //
 //   - burst: purpose-built fetch-bound and commit-bound programs whose
 //     cycles are dominated by the two quasi-null shapes — a backend wedged
 //     on data misses while fetch drains I-lines (fetch-drain), and a
 //     starved front end while a completed ROB run retires (commit-run).
-//     Gated by minBurstSpeedup on the group geomean: below that the burst
-//     detectors have stopped earning their per-cycle checks.
+//     Floor 1.3x on the group geomean, and every case must fire a burst:
+//     below that the detectors have stopped earning their per-cycle checks.
 //
-//   - membound: the BENCH_6 memory-bound set (sparse, treewalk, quantsim,
-//     bfs × base, pubs). Those spans are mostly fully null, so phase 2 has
-//     little to integrate — the group gates that the burst checks cost
-//     nothing where they do not fire (no regression beyond tolerance).
-//
-// Every cell is verified bit-identical across phase 2, phase 1, and the
-// report records per-class burst telemetry so a speedup is attributable to
-// bursts that actually fired. -bench-burst-baseline gates against the
-// committed BENCH_8.json; on a baseline failure the harness re-measures
-// once and prints the second run, so a CI failure shows immediately
-// whether the regression reproduces or was machine noise (the BENCH_2
-// incident: a one-off ~26% swing was indistinguishable from a real
-// regression in the logs).
+//   - membound: the BENCH_6 memory-bound cells. Those spans are mostly
+//     fully null, so phase 2 has little to integrate; the group's floor of
+//     1 - benchTolerance holds the burst checks to costing nothing where
+//     they do not fire.
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
-	"reflect"
-	"runtime"
-	"testing"
 
 	pubsim "repro"
+	"repro/internal/abgate"
 )
-
-const (
-	burstWarmup  = 20_000
-	burstMeasure = 80_000
-)
-
-// minBurstSpeedup is the hard floor on the burst-group geomean phase-2 vs
-// phase-1 speedup.
-const minBurstSpeedup = 1.3
-
-type benchBurstEntry struct {
-	Name  string `json:"name"`
-	Group string `json:"group"` // burst | membound
-
-	Phase1Ns int64   `json:"phase1_ns"` // NoBurstSkip (null-span skipping only)
-	Phase2Ns int64   `json:"phase2_ns"` // bursts + null-span skipping
-	Speedup  float64 `json:"speedup"`   // Phase1Ns / Phase2Ns
-
-	Identical bool `json:"identical"` // results bit-identical across phases
-
-	// Per-class burst coverage of the phase-2 run, so the speedup is
-	// attributable: a burst entry with zero spans is a broken shape.
-	FetchBurstSpans   uint64 `json:"fetch_burst_spans"`
-	FetchBurstCycles  uint64 `json:"fetch_burst_cycles"`
-	CommitBurstSpans  uint64 `json:"commit_burst_spans"`
-	CommitBurstCycles uint64 `json:"commit_burst_cycles"`
-}
-
-type benchBurstReport struct {
-	Schema     string `json:"schema"`
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-
-	Warmup  uint64 `json:"warmup_insts"`
-	Measure uint64 `json:"measure_insts"`
-
-	Entries []benchBurstEntry `json:"entries"`
-
-	GeomeanBurstSpeedup    float64 `json:"geomean_burst_speedup"`
-	GeomeanMemboundSpeedup float64 `json:"geomean_membound_speedup"`
-}
-
-// burstBenchCase is one measured cell: a config (already shaped) plus
-// either a named workload or a custom program.
-type burstBenchCase struct {
-	name  string
-	group string
-	cfg   pubsim.Config
-	wl    string          // workload name, or
-	prog  *pubsim.Program // custom program
-}
 
 // benchChaseData emits a single-cycle permutation (Sattolo) over all words
 // and returns its base address. A chase over raw scrambled *values* settles
@@ -198,17 +131,26 @@ func commitBoundBench() *pubsim.Program {
 	return b.MustBuild()
 }
 
-// benchBurstSet builds the measured cells. Shaped configs are part of the
-// benchmark's definition: the burst group exists to measure the regime the
-// detectors target, not an average workload.
-func benchBurstSet() ([]burstBenchCase, error) {
-	var cases []burstBenchCase
+// burstGate builds BENCH_8. Shaped configs are part of the benchmark's
+// definition: the burst group exists to measure the regime the detectors
+// target, not an average workload.
+func burstGate() (abgate.Gate, error) {
+	g := abgate.Gate{
+		Name: "BENCH_8",
+		Groups: []abgate.Group{
+			{Name: "burst", Key: "geomean_burst_speedup", Floor: 1.3, Tolerance: benchTolerance},
+			{Name: "membound", Key: "geomean_membound_speedup", Floor: 1 - benchTolerance},
+		},
+		Checks: []func(*abgate.Report) []string{burstsFired},
+	}
+	phase1 := func(cfg *pubsim.Config) { cfg.NoBurstSkip = true }
 
 	tinyL1I := pubsim.CacheConfig{Name: "L1I", Sets: 1, Ways: 2, LineBytes: 64, HitLat: 0, MSHRs: 2}
+	fetchProg, commitProg := fetchBoundBench(), commitBoundBench()
 	for _, m := range []string{"base", "pubs"} {
 		cfg, err := pubsim.MachineConfig(m)
 		if err != nil {
-			return nil, err
+			return abgate.Gate{}, err
 		}
 		// Fetch-bound: the chase misses to memory (its image outsizes the
 		// L2) and wedges the backend for 1000 cycles per link while the
@@ -229,9 +171,7 @@ func benchBurstSet() ([]burstBenchCase, error) {
 		fc.PhysIntRegs = 512
 		fc.NumIntALU = 4
 		fc.Prefetch = false
-		cases = append(cases, burstBenchCase{
-			name: "fetchbound-" + m, group: "burst", cfg: fc, prog: fetchBoundBench(),
-		})
+		g.Cases = append(g.Cases, abCase(cell{name: "fetchbound-" + m, cfg: fc, prog: fetchProg}, "burst", phase1))
 
 		// Commit-bound: the loop stays L1I-resident (fast supply, so the
 		// 1600-wide run is fully completed and ROB-deep when the head
@@ -249,244 +189,28 @@ func benchBurstSet() ([]burstBenchCase, error) {
 		cc.PhysIntRegs = 2688
 		cc.NumIntALU = 4
 		cc.Prefetch = false
-		cases = append(cases, burstBenchCase{
-			name: "commitbound-" + m, group: "burst", cfg: cc, prog: commitBoundBench(),
-		})
+		g.Cases = append(g.Cases, abCase(cell{name: "commitbound-" + m, cfg: cc, prog: commitProg}, "burst", phase1))
 	}
 
-	// Membound guard group: the BENCH_6 set on stock machines.
-	for _, bc := range benchSkipSet() {
-		cfg, err := pubsim.MachineConfig(bc.machine)
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, burstBenchCase{
-			name: bc.workload + "-" + bc.machine, group: "membound", cfg: cfg, wl: bc.workload,
-		})
-	}
-
-	// PUBSIM_BENCH_BURST_GROUP restricts the run to one group — an
-	// iteration affordance for tuning shapes; the committed BENCH_8.json
-	// is always a full-set run (an empty group's geomean reads 0 and
-	// fails the gates, so a filtered report cannot pass as a baseline).
-	if g := os.Getenv("PUBSIM_BENCH_BURST_GROUP"); g != "" {
-		var kept []burstBenchCase
-		for _, c := range cases {
-			if c.group == g {
-				kept = append(kept, c)
-			}
-		}
-		cases = kept
-	}
-	return cases, nil
-}
-
-// runBurstOnce runs one cell in the given phase.
-func runBurstOnce(c burstBenchCase, phase1 bool) (pubsim.Result, error) {
-	cfg := c.cfg
-	cfg.NoBurstSkip = phase1
-	if c.prog != nil {
-		return pubsim.RunProgram(cfg, c.prog, burstWarmup, burstMeasure)
-	}
-	return pubsim.Run(cfg, c.wl, burstWarmup, burstMeasure)
-}
-
-func runBenchBurstReport() (*benchBurstReport, error) {
-	rep := &benchBurstReport{
-		Schema: "pubsim-bench-burst/1",
-		GoOS:   runtime.GOOS, GoArch: runtime.GOARCH,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Warmup:     burstWarmup,
-		Measure:    burstMeasure,
-	}
-	cases, err := benchBurstSet()
+	cells, err := memboundCells()
 	if err != nil {
-		return nil, err
+		return abgate.Gate{}, err
 	}
-	for _, c := range cases {
-		// Correctness first: both phases must produce identical Results,
-		// and the telemetry delta attributes the phase-2 run's coverage.
-		p1Res, err := runBurstOnce(c, true)
-		if err != nil {
-			return nil, fmt.Errorf("phase1 %s: %w", c.name, err)
-		}
-		before := pubsim.GlobalSkipTelemetry()
-		p2Res, err := runBurstOnce(c, false)
-		if err != nil {
-			return nil, fmt.Errorf("phase2 %s: %w", c.name, err)
-		}
-		after := pubsim.GlobalSkipTelemetry()
-		identical := reflect.DeepEqual(p1Res, p2Res)
-
-		var runErr error
-		bench := func(phase1 bool) int64 {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := runBurstOnce(c, phase1); err != nil {
-						runErr = err
-						b.FailNow()
-					}
-				}
-			})
-			ns := r.NsPerOp()
-			if ns <= 0 {
-				ns = 1
-			}
-			return ns
-		}
-		p1Ns := bench(true)
-		if runErr != nil {
-			return nil, runErr
-		}
-		p2Ns := bench(false)
-		if runErr != nil {
-			return nil, runErr
-		}
-
-		e := benchBurstEntry{
-			Name: c.name, Group: c.group,
-			Phase1Ns: p1Ns, Phase2Ns: p2Ns,
-			Speedup:           float64(p1Ns) / float64(p2Ns),
-			Identical:         identical,
-			FetchBurstSpans:   after.FetchBurstSpans - before.FetchBurstSpans,
-			FetchBurstCycles:  after.FetchBurstCycles - before.FetchBurstCycles,
-			CommitBurstSpans:  after.CommitBurstSpans - before.CommitBurstSpans,
-			CommitBurstCycles: after.CommitBurstCycles - before.CommitBurstCycles,
-		}
-		rep.Entries = append(rep.Entries, e)
-		fmt.Fprintf(os.Stderr,
-			"bench-burst %-18s %-8s p1 %7.1f ms  p2 %7.1f ms  speedup %.2fx  bursts f=%d/%d c=%d/%d  identical=%v\n",
-			c.name, c.group, float64(p1Ns)/1e6, float64(p2Ns)/1e6, e.Speedup,
-			e.FetchBurstSpans, e.FetchBurstCycles, e.CommitBurstSpans, e.CommitBurstCycles, identical)
+	for _, c := range cells {
+		g.Cases = append(g.Cases, abCase(c, "membound", phase1))
 	}
-
-	geomean := func(group string) float64 {
-		var logSum float64
-		n := 0
-		for _, e := range rep.Entries {
-			if e.Group == group {
-				logSum += math.Log(e.Speedup)
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return math.Exp(logSum / float64(n))
-	}
-	rep.GeomeanBurstSpeedup = geomean("burst")
-	rep.GeomeanMemboundSpeedup = geomean("membound")
-	return rep, nil
+	return g, nil
 }
 
-func loadBenchBurstReport(path string) (*benchBurstReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep benchBurstReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("bench-burst baseline %s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// compareBenchBurstReports gates the burst path: every entry bit-identical,
-// every burst entry actually bursting, the burst geomean above the hard
-// floor and within tolerance of the baseline, and the membound geomean not
-// regressed (the burst checks must be free where they do not fire).
-func compareBenchBurstReports(base, cur *benchBurstReport) []string {
-	var regressions []string
-	for _, e := range cur.Entries {
-		if !e.Identical {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: phase-2 results diverged from the phase-1 reference", e.Name))
-		}
-		if e.Group == "burst" && e.FetchBurstSpans == 0 && e.CommitBurstSpans == 0 {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: no burst ever fired — the shape no longer exercises the detectors", e.Name))
+// burstsFired fails every burst case whose phase-2 run fired no burst:
+// its shape no longer exercises the detectors, so its speedup is not
+// theirs.
+func burstsFired(r *abgate.Report) []string {
+	var fails []string
+	for _, e := range r.Entries {
+		if e.Group == "burst" && (e.B == nil || e.B.Counters["fetch_burst_spans"]+e.B.Counters["commit_burst_spans"] == 0) {
+			fails = append(fails, fmt.Sprintf("%s: no burst ever fired — the shape no longer exercises the detectors", e.Name))
 		}
 	}
-	if cur.GeomeanBurstSpeedup < minBurstSpeedup {
-		regressions = append(regressions, fmt.Sprintf(
-			"burst geomean speedup %.2fx is below the %.2fx floor — burst integration has regressed into overhead",
-			cur.GeomeanBurstSpeedup, float64(minBurstSpeedup)))
-	}
-	if cur.GeomeanMemboundSpeedup < 1-benchTolerance {
-		regressions = append(regressions, fmt.Sprintf(
-			"membound geomean %.2fx: burst checks slow the null-span regime beyond the %.0f%% tolerance",
-			cur.GeomeanMemboundSpeedup, benchTolerance*100))
-	}
-	if base != nil && base.GeomeanBurstSpeedup > 0 &&
-		cur.GeomeanBurstSpeedup < base.GeomeanBurstSpeedup*(1-benchTolerance) {
-		regressions = append(regressions, fmt.Sprintf(
-			"burst geomean speedup %.2fx is a %.0f%% regression from baseline %.2fx",
-			cur.GeomeanBurstSpeedup,
-			(1-cur.GeomeanBurstSpeedup/base.GeomeanBurstSpeedup)*100,
-			base.GeomeanBurstSpeedup))
-	}
-	return regressions
-}
-
-// runBenchBurstMode executes the -bench-burst-out / -bench-burst-baseline
-// flow; it returns a process exit code. On a gate failure the whole set is
-// re-measured once and the second run printed: a regression that
-// reproduces is real; one that vanishes was machine noise — the
-// distinction the BENCH_2 incident logs could not make.
-func runBenchBurstMode(outPath, baselinePath string) int {
-	rep, err := runBenchBurstReport()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 1
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "bench-burst report written to %s (burst geomean %.2fx, membound %.2fx)\n",
-			outPath, rep.GeomeanBurstSpeedup, rep.GeomeanMemboundSpeedup)
-	}
-	var base *benchBurstReport
-	if baselinePath != "" {
-		if base, err = loadBenchBurstReport(baselinePath); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-	}
-	regs := compareBenchBurstReports(base, rep)
-	if len(regs) == 0 {
-		if base != nil {
-			fmt.Fprintf(os.Stderr, "bench-burst within %.0f%% of baseline %s (burst geomean %.2fx vs %.2fx)\n",
-				benchTolerance*100, baselinePath, rep.GeomeanBurstSpeedup, base.GeomeanBurstSpeedup)
-		}
-		return 0
-	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "experiments: bench-burst regression: %s\n", r)
-	}
-	fmt.Fprintf(os.Stderr, "experiments: re-measuring once to separate a real regression from machine noise\n")
-	rep2, err := runBenchBurstReport()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: re-measurement failed: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr,
-		"experiments: re-measurement: burst geomean %.2fx (first run %.2fx), membound %.2fx (first run %.2fx)\n",
-		rep2.GeomeanBurstSpeedup, rep.GeomeanBurstSpeedup,
-		rep2.GeomeanMemboundSpeedup, rep.GeomeanMemboundSpeedup)
-	if regs2 := compareBenchBurstReports(base, rep2); len(regs2) == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: re-measurement passes all gates — first run was likely noise; still failing the job so the flake is visible\n")
-	} else {
-		for _, r := range regs2 {
-			fmt.Fprintf(os.Stderr, "experiments: re-measurement confirms: %s\n", r)
-		}
-	}
-	return 1
+	return fails
 }

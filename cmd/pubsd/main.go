@@ -10,7 +10,7 @@
 //	pubsd serve    -addr :8081 -join http://coordinator:8080 [-node-id ID] [-advertise URL]
 //	pubsd loadtest -addr http://host:8080 [-jobs N] [-out BENCH_3.json]
 //	pubsd loadtest -self [-jobs N] [-out BENCH_3.json]
-//	pubsd clusterbench [-jobs N] [-concurrency N] [-out BENCH_7.json] [-baseline BENCH_7.json]
+//	pubsd clusterbench [-sampling] [-out FILE] [-baseline BENCH_7.json]
 //
 // serve runs until SIGINT/SIGTERM, then drains: submissions are refused
 // (503) while accepted jobs run to completion, bounded by -drain-timeout.
@@ -33,10 +33,11 @@
 // failures.
 //
 // clusterbench boots in-process 1-worker and 3-worker clusters on
-// loopback ports, drives each with >= 64 concurrent clients, and writes
-// the BENCH_7 pubsd-cluster/1 report (jobs/sec, p99, cluster-wide
-// cache-hit ratio, speedups). It exits nonzero when the 3-worker geomean
-// speedup drops below -min-speedup or regresses >20% from -baseline.
+// loopback ports, drives each with 64 concurrent clients, and writes the
+// BENCH_7 report (jobs/sec, p99, cluster-wide cache-hit ratio, speedups).
+// It exits nonzero when the 3-worker geomean speedup drops below 1.8x or
+// regresses >20% from -baseline. With -sampling it runs BENCH_9 instead:
+// sampled sweeps on a 3-worker fleet with plan sharing off and on.
 package main
 
 import (
@@ -53,6 +54,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/abgate"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/service"
@@ -96,9 +98,7 @@ func usage() {
                  [-join URL [-node-id ID] [-advertise URL]]
   pubsd loadtest (-addr URL | -self) [-jobs N] [-concurrency N] [-burst N]
                  [-warmup N] [-insts N] [-out FILE]
-  pubsd clusterbench [-jobs N] [-concurrency N] [-worker-queue N]
-                 [-worker-active N] [-warmup N] [-insts N] [-out FILE]
-                 [-min-speedup X] [-baseline FILE] [-sampling]`)
+  pubsd clusterbench [-sampling] [-out FILE] [-baseline FILE]`)
 }
 
 // serviceFlags registers the flags shared by both subcommands that size
@@ -327,145 +327,21 @@ func loadtest(args []string) error {
 	return nil
 }
 
-// clusterbenchTolerance matches the other bench gates: a fresh run may sit
-// up to 20% below the committed baseline's geomean before the gate trips.
-const clusterbenchTolerance = 0.20
-
+// clusterbench runs BENCH_7, or BENCH_9 with -sampling, through the
+// shared A/B gate: report, floor, baseline tolerance and extra checks.
 func clusterbench(args []string) error {
 	fs := flag.NewFlagSet("pubsd clusterbench", flag.ExitOnError)
-	jobs := fs.Int("jobs", 96, "jobs per scenario")
-	conc := fs.Int("concurrency", 64, "concurrent clients (the BENCH_7 contract wants >= 64)")
-	wq := fs.Int("worker-queue", 4, "per-worker job queue depth")
-	wa := fs.Int("worker-active", 2, "per-worker concurrently active jobs")
-	wr := fs.Float64("worker-rate", 12, "per-worker admission budget, jobs/sec (the deterministic capacity the scaling measurement rests on)")
-	wb := fs.Int("worker-burst", 4, "per-worker admission token-bucket burst")
-	warmup := fs.Uint64("warmup", 2_000, "per-cell warm-up instructions")
-	insts := fs.Uint64("insts", 8_000, "per-cell measured instructions")
-	out := fs.String("out", "", "write the JSON report here (default stdout)")
+	out := fs.String("out", "", "write the JSON report here")
 	sampling := fs.Bool("sampling", false, "run the BENCH_9 sampled-sweep benchmark (plan sharing + batched dispatch vs off) instead of BENCH_7")
-	minSpeedup := fs.Float64("min-speedup", 0, "fail when the geomean speedup is below this floor (0 = the mode's default: 1.8 for BENCH_7, 1.5 for -sampling)")
-	baseline := fs.String("baseline", "", "compare against this committed report; fail on a >20% geomean regression")
+	baseline := fs.String("baseline", "", "also gate against this committed report (20% tolerance)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	g := cluster.BenchGate(ctx)
 	if *sampling {
-		if *minSpeedup == 0 {
-			*minSpeedup = 1.5
-		}
-		return samplingBench(ctx, *out, *minSpeedup, *baseline)
+		g = cluster.SamplingBenchGate(ctx)
 	}
-	if *minSpeedup == 0 {
-		*minSpeedup = 1.8
-	}
-	rep, err := cluster.RunBench(ctx, cluster.BenchConfig{
-		Jobs: *jobs, Concurrency: *conc,
-		Warmup: *warmup, Measure: *insts,
-		WorkerQueue: *wq, WorkerActive: *wa,
-		WorkerRate: *wr, WorkerBurst: *wb,
-		Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "pubsd: clusterbench report written to %s (geomean speedup %.2fx)\n",
-			*out, rep.GeomeanSpeedup)
-	}
-
-	if rep.GeomeanSpeedup < *minSpeedup {
-		return fmt.Errorf("clusterbench: geomean speedup %.2fx is below the %.2fx floor — the fleet no longer outruns one node",
-			rep.GeomeanSpeedup, *minSpeedup)
-	}
-	if *baseline != "" {
-		raw, err := os.ReadFile(*baseline)
-		if err != nil {
-			return fmt.Errorf("clusterbench baseline: %w", err)
-		}
-		var base cluster.BenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("clusterbench baseline %s: %w", *baseline, err)
-		}
-		if base.GeomeanSpeedup > 0 && rep.GeomeanSpeedup < base.GeomeanSpeedup*(1-clusterbenchTolerance) {
-			return fmt.Errorf("clusterbench: geomean speedup %.2fx is a %.0f%% regression from baseline %.2fx",
-				rep.GeomeanSpeedup, (1-rep.GeomeanSpeedup/base.GeomeanSpeedup)*100, base.GeomeanSpeedup)
-		}
-		fmt.Fprintf(os.Stderr, "pubsd: clusterbench within %.0f%% of baseline %s (geomean %.2fx vs %.2fx)\n",
-			clusterbenchTolerance*100, *baseline, rep.GeomeanSpeedup, base.GeomeanSpeedup)
-	}
-	return nil
-}
-
-// samplingBench runs BENCH_9 — the cluster-shared sampling-plan benchmark —
-// and applies its gates: bit-identical results across modes, fleet-wide
-// functional passes == workloads with sharing on, the speedup floor, and
-// the baseline regression check.
-func samplingBench(ctx context.Context, out string, minSpeedup float64, baseline string) error {
-	rep, err := cluster.RunSamplingBench(ctx, cluster.SamplingBenchConfig{Log: os.Stderr})
-	if err != nil {
-		return err
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "pubsd: sampling bench report written to %s (geomean speedup %.2fx)\n",
-			out, rep.GeomeanSpeedup)
-	}
-
-	if !rep.BitIdentical {
-		return errors.New("sampling bench: plan sharing changed results — the modes are no longer bit-identical")
-	}
-	for _, sc := range rep.Scenarios {
-		if want := uint64(sc.Workloads); sc.On.Plans != want {
-			return fmt.Errorf("sampling bench %s: fleet paid %d functional passes with sharing on, want exactly %d (one per workload)",
-				sc.Name, sc.On.Plans, want)
-		}
-	}
-	if rep.GeomeanSpeedup < minSpeedup {
-		return fmt.Errorf("sampling bench: geomean speedup %.2fx is below the %.2fx floor — plan sharing no longer pays",
-			rep.GeomeanSpeedup, minSpeedup)
-	}
-	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
-		if err != nil {
-			return fmt.Errorf("sampling bench baseline: %w", err)
-		}
-		var base cluster.SamplingBenchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("sampling bench baseline %s: %w", baseline, err)
-		}
-		if base.GeomeanSpeedup > 0 && rep.GeomeanSpeedup < base.GeomeanSpeedup*(1-clusterbenchTolerance) {
-			return fmt.Errorf("sampling bench: geomean speedup %.2fx is a %.0f%% regression from baseline %.2fx",
-				rep.GeomeanSpeedup, (1-rep.GeomeanSpeedup/base.GeomeanSpeedup)*100, base.GeomeanSpeedup)
-		}
-		fmt.Fprintf(os.Stderr, "pubsd: sampling bench within %.0f%% of baseline %s (geomean %.2fx vs %.2fx)\n",
-			clusterbenchTolerance*100, baseline, rep.GeomeanSpeedup, base.GeomeanSpeedup)
-	}
-	return nil
+	return abgate.Run(g, *out, *baseline, os.Stderr)
 }

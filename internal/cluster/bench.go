@@ -3,14 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/abgate"
 	"repro/internal/service"
 )
 
@@ -19,7 +18,7 @@ import (
 // 1-worker cluster behind the identical coordinator, with p99 latency and
 // the cluster-wide cache-hit ratio recorded. Workers are deliberately
 // small — one simulation slot, a short queue, and a per-tenant admission
-// budget of WorkerRate jobs/sec — so the fleet's aggregate admission
+// budget of benchWorkerRate jobs/sec — so the fleet's aggregate admission
 // capacity, not one host's core count, is the resource under test: the
 // coordinator steals refused cells onto other members and retries on the
 // workers' own Retry-After discipline, so fleet throughput tracks the sum
@@ -28,112 +27,34 @@ import (
 // single-core runner and strictly better on multi-core hosts, where the
 // three workers' simulation slots also run in parallel.
 
-// BenchConfig sizes the BENCH_7 run.
-type BenchConfig struct {
-	// Jobs per scenario (default 96); each job is one distinct-or-duplicate
-	// single-cell campaign.
-	Jobs int
-	// Concurrency is the concurrent client count (default 64; the BENCH_7
-	// contract wants >= 64).
-	Concurrency int
-	// Warmup/Measure are the per-cell windows (defaults 2_000/8_000 —
-	// small, so admission capacity dominates, not simulation time).
-	Warmup, Measure uint64
-	// WorkerQueue/WorkerActive size each worker's admission capacity
-	// (defaults 4 and 2).
-	WorkerQueue, WorkerActive int
-	// WorkerRate/WorkerBurst are each worker's per-tenant token bucket
-	// (defaults 12 jobs/sec, burst 4) — the deterministic per-node
-	// admission budget the scaling measurement rests on.
-	WorkerRate  float64
-	WorkerBurst int
-	// Log receives progress lines (nil = discard).
-	Log io.Writer
-}
-
-func (c BenchConfig) normalized() BenchConfig {
-	if c.Jobs <= 0 {
-		c.Jobs = 96
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 64
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 2_000
-	}
-	if c.Measure == 0 {
-		c.Measure = 8_000
-	}
-	if c.WorkerQueue <= 0 {
-		c.WorkerQueue = 4
-	}
-	if c.WorkerActive <= 0 {
-		c.WorkerActive = 2
-	}
-	if c.WorkerRate <= 0 {
-		c.WorkerRate = 12
-	}
-	if c.WorkerBurst <= 0 {
-		c.WorkerBurst = 4
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
-	}
-	return c
-}
-
-// TopologyStats is one (scenario, worker count) measurement.
-type TopologyStats struct {
-	Workers    int     `json:"workers"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	P50MS      float64 `json:"latency_p50_ms"`
-	P99MS      float64 `json:"latency_p99_ms"`
-	Rejected   int     `json:"rejected_jobs"`
-
-	// Cluster-wide counters, summed across every node.
-	Sims          uint64  `json:"sims_executed"`
-	CacheHits     uint64  `json:"cache_hits"`
-	Merged        uint64  `json:"singleflight_merged"`
-	PeerCacheHits uint64  `json:"peer_cache_hits"`
-	Steals        uint64  `json:"steals"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-}
-
-// BenchScenario is one traffic shape measured on both topologies.
-type BenchScenario struct {
-	Name    string        `json:"name"`
-	Single  TopologyStats `json:"single"`  // 1 worker
-	Cluster TopologyStats `json:"cluster"` // 3 workers
-	Speedup float64       `json:"speedup"` // cluster jobs/sec over single
-}
-
-// BenchReport is the BENCH_7.json document.
-type BenchReport struct {
-	Schema      string    `json:"schema"` // "pubsd-cluster/1"
-	Timestamp   time.Time `json:"timestamp"`
-	Jobs        int       `json:"jobs"`
-	Concurrency int       `json:"concurrency"`
-	WorkerQueue int       `json:"worker_queue"`
-	WorkerSlots int       `json:"worker_active"`
-	WorkerRate  float64   `json:"worker_rate"`
-	WorkerBurst int       `json:"worker_burst"`
-
-	Scenarios      []BenchScenario `json:"scenarios"`
-	GeomeanSpeedup float64         `json:"geomean_speedup"`
-}
+// BENCH_7 sizing: jobs per scenario, concurrent clients (the BENCH_7
+// contract wants >= 64), per-cell windows (small, so admission capacity
+// dominates, not simulation time), each worker's admission capacity, and
+// each worker's per-tenant token bucket — the deterministic per-node
+// admission budget the scaling measurement rests on.
+const (
+	benchJobs         = 96
+	benchConcurrency  = 64
+	benchWarmup       = 2_000
+	benchMeasure      = 8_000
+	benchWorkerQueue  = 4
+	benchWorkerActive = 2
+	benchWorkerRate   = 12 // jobs/sec
+	benchWorkerBurst  = 4
+)
 
 // benchSpecs builds the scenario's spec ring: n single-cell campaigns with
 // distinct content addresses — the warm-up window is part of the memo key,
 // so a one-instruction offset per spec names a distinct cell without
 // changing what the cell costs.
-func benchSpecs(n int, warmup, measure uint64) []service.CampaignSpec {
+func benchSpecs(n int) []service.CampaignSpec {
 	workloads := []string{"matmul", "chess", "goplay", "pathfind"}
 	specs := make([]service.CampaignSpec, n)
 	for i := range specs {
 		specs[i] = service.CampaignSpec{
 			Machines:  []service.MachineSpec{{Machine: "pubs"}},
 			Workloads: []string{workloads[i%len(workloads)]},
-			Warmup:    warmup + uint64(i), Measure: measure,
+			Warmup:    benchWarmup + uint64(i), Measure: benchMeasure,
 		}
 	}
 	return specs
@@ -147,15 +68,10 @@ type benchNode struct {
 	url string
 }
 
-func startBenchWorker(id string, cfg BenchConfig) (*benchNode, error) {
-	svc, err := service.New(service.Config{
-		NodeID:        id,
-		Workers:       1,
-		QueueDepth:    cfg.WorkerQueue,
-		MaxActiveJobs: cfg.WorkerActive,
-		TenantRate:    cfg.WorkerRate,
-		TenantBurst:   cfg.WorkerBurst,
-	})
+// startBenchNode boots one in-process worker daemon; peers are wired by
+// the topology once every worker is up.
+func startBenchNode(cfg service.Config) (*benchNode, error) {
+	svc, err := service.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +82,14 @@ func startBenchWorker(id string, cfg BenchConfig) (*benchNode, error) {
 	}
 	srv := &http.Server{Handler: wk.Handler(svc.Handler())}
 	go func() { _ = srv.Serve(ln) }()
-	// Peers are wired by the topology once every worker is up.
 	return &benchNode{svc: svc, wk: wk, srv: srv, url: "http://" + ln.Addr().String()}, nil
 }
 
-// runTopology boots n workers plus a coordinator, drives the spec ring at
-// the configured concurrency, and returns the loadtest report plus the
-// cluster-wide counter sums.
-func runTopology(ctx context.Context, n int, specs []service.CampaignSpec, burst int, cfg BenchConfig) (TopologyStats, error) {
-	stats := TopologyStats{Workers: n}
+// runTopology boots n workers plus a coordinator and drives the spec
+// ring at benchConcurrency. The outcome's time is the load test's serving
+// time per benchJobs completed jobs, so A/B ratios are jobs/sec ratios;
+// its counters are the load test's figures and the cluster-wide sums.
+func runTopology(ctx context.Context, n int, specs []service.CampaignSpec, burst int) (abgate.Outcome, error) {
 	workers := make([]*benchNode, 0, n)
 	shutdown := func() {
 		sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -188,9 +103,16 @@ func runTopology(ctx context.Context, n int, specs []service.CampaignSpec, burst
 
 	peers := make(map[string]string, n)
 	for i := 0; i < n; i++ {
-		w, err := startBenchWorker(fmt.Sprintf("bench-w%d", i+1), cfg)
+		w, err := startBenchNode(service.Config{
+			NodeID:        fmt.Sprintf("bench-w%d", i+1),
+			Workers:       1,
+			QueueDepth:    benchWorkerQueue,
+			MaxActiveJobs: benchWorkerActive,
+			TenantRate:    benchWorkerRate,
+			TenantBurst:   benchWorkerBurst,
+		})
 		if err != nil {
-			return stats, err
+			return abgate.Outcome{}, err
 		}
 		workers = append(workers, w)
 		peers[w.svc.NodeID()] = w.url
@@ -200,13 +122,13 @@ func runTopology(ctx context.Context, n int, specs []service.CampaignSpec, burst
 	// simulations, so they outnumber the client population.
 	csvc, err := service.New(service.Config{
 		NodeID:        "bench-coord",
-		Workers:       cfg.Concurrency + 8,
-		QueueDepth:    4 * cfg.Concurrency,
-		MaxActiveJobs: cfg.Concurrency + 8,
+		Workers:       benchConcurrency + 8,
+		QueueDepth:    4 * benchConcurrency,
+		MaxActiveJobs: benchConcurrency + 8,
 		Remote:        coord.Remote,
 	})
 	if err != nil {
-		return stats, err
+		return abgate.Outcome{}, err
 	}
 	coord.BindCounters(csvc.ClusterCounters())
 	for _, w := range workers {
@@ -216,7 +138,7 @@ func runTopology(ctx context.Context, n int, specs []service.CampaignSpec, burst
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		_ = csvc.Shutdown(context.Background())
-		return stats, err
+		return abgate.Outcome{}, err
 	}
 	csrv := &http.Server{Handler: coord.Handler(csvc.Handler())}
 	go func() { _ = csrv.Serve(ln) }()
@@ -229,83 +151,75 @@ func runTopology(ctx context.Context, n int, specs []service.CampaignSpec, burst
 
 	rep, err := service.Loadtest(ctx, service.LoadtestConfig{
 		BaseURL:        "http://" + ln.Addr().String(),
-		Jobs:           cfg.Jobs,
-		Concurrency:    cfg.Concurrency,
+		Jobs:           benchJobs,
+		Concurrency:    benchConcurrency,
 		Specs:          specs,
 		DuplicateBurst: burst,
 	})
 	if err != nil {
-		return stats, err
+		return abgate.Outcome{}, err
+	}
+	if rep.JobsPerSec <= 0 {
+		return abgate.Outcome{}, fmt.Errorf("%d workers: no job completed", n)
 	}
 
-	stats.JobsPerSec = rep.JobsPerSec
-	stats.P50MS = rep.LatencyP50MS
-	stats.P99MS = rep.LatencyP99MS
-	stats.Rejected = rep.Rejected
+	c := map[string]float64{
+		"jobs_per_sec":   rep.JobsPerSec,
+		"latency_p50_ms": rep.LatencyP50MS,
+		"latency_p99_ms": rep.LatencyP99MS,
+		"rejected_jobs":  float64(rep.Rejected),
+	}
+	var sims, peerHits uint64
 	for _, w := range workers {
 		m := parseMetricsText(w.svc.MetricsText())
-		stats.Sims += m["pubsd_sims_executed_total"]
-		stats.PeerCacheHits += m["pubsd_cluster_peer_cache_hits_total"]
+		sims += m["pubsd_sims_executed_total"]
+		peerHits += m["pubsd_cluster_peer_cache_hits_total"]
 	}
 	cm := parseMetricsText(csvc.MetricsText())
-	stats.Sims += cm["pubsd_sims_executed_total"]
-	stats.CacheHits = cm["pubsd_cache_hits_total"]
-	stats.Merged = cm["pubsd_singleflight_merged_total"]
-	stats.Steals = cm["pubsd_cluster_steals_total"]
-	if total := stats.CacheHits + stats.Merged + cm["pubsd_cache_misses_total"]; total > 0 {
-		stats.CacheHitRatio = float64(stats.CacheHits+stats.Merged) / float64(total)
+	hits, merged := cm["pubsd_cache_hits_total"], cm["pubsd_singleflight_merged_total"]
+	c["sims_executed"] = float64(sims + cm["pubsd_sims_executed_total"])
+	c["peer_cache_hits"] = float64(peerHits)
+	c["cache_hits"] = float64(hits)
+	c["singleflight_merged"] = float64(merged)
+	c["steals"] = float64(cm["pubsd_cluster_steals_total"])
+	if total := hits + merged + cm["pubsd_cache_misses_total"]; total > 0 {
+		c["cache_hit_ratio"] = float64(hits+merged) / float64(total)
 	}
-	return stats, nil
+	return abgate.Outcome{
+		Counters: c,
+		Elapsed:  time.Duration(float64(time.Second) * benchJobs / rep.JobsPerSec),
+	}, nil
 }
 
-// RunBench measures both topologies across the scenario set and gates
-// nothing itself — the caller (cmd/pubsd clusterbench) applies the
-// speedup floor and the baseline regression check.
-func RunBench(ctx context.Context, cfg BenchConfig) (BenchReport, error) {
-	cfg = cfg.normalized()
-	rep := BenchReport{
-		Schema: "pubsd-cluster/1", Timestamp: time.Now(),
-		Jobs: cfg.Jobs, Concurrency: cfg.Concurrency,
-		WorkerQueue: cfg.WorkerQueue, WorkerSlots: cfg.WorkerActive,
-		WorkerRate: cfg.WorkerRate, WorkerBurst: cfg.WorkerBurst,
+// BenchGate is BENCH_7: per traffic scenario, jobs/sec of a 1-worker
+// cluster (A) against a 3-worker cluster (B) behind the same coordinator,
+// with a 1.8x geomean floor — below it the fleet no longer outruns one
+// node — and the 20% baseline tolerance. ctx bounds every load test.
+func BenchGate(ctx context.Context) abgate.Gate {
+	g := abgate.Gate{
+		Name:   "BENCH_7",
+		Groups: []abgate.Group{{Key: "geomean_speedup", Floor: 1.8, Tolerance: 0.20}},
 	}
-	scenarios := []struct {
+	for _, sc := range []struct {
 		name  string
 		ring  int // distinct specs in the ring
 		burst int
 	}{
 		// Every job a distinct cell: pure admission-capacity scaling.
-		{name: "distinct-cells", ring: cfg.Jobs, burst: 1},
+		{name: "distinct-cells", ring: benchJobs, burst: 1},
 		// Half the submissions duplicate an earlier cell and must be
 		// absorbed by the cluster-wide cache and singleflight while the
 		// unique half still scales with the fleet.
-		{name: "duplicate-mix", ring: cfg.Jobs / 2, burst: 2},
+		{name: "duplicate-mix", ring: benchJobs / 2, burst: 2},
+	} {
+		specs := benchSpecs(sc.ring)
+		g.Cases = append(g.Cases, abgate.Case{
+			Name: sc.name,
+			A:    func() (abgate.Outcome, error) { return runTopology(ctx, 1, specs, sc.burst) },
+			B:    func() (abgate.Outcome, error) { return runTopology(ctx, 3, specs, sc.burst) },
+		})
 	}
-	geo := 1.0
-	for _, sc := range scenarios {
-		specs := benchSpecs(sc.ring, cfg.Warmup, cfg.Measure)
-		fmt.Fprintf(cfg.Log, "pubsd: clusterbench %s: 1 worker...\n", sc.name)
-		single, err := runTopology(ctx, 1, specs, sc.burst, cfg)
-		if err != nil {
-			return rep, fmt.Errorf("clusterbench %s (1 worker): %w", sc.name, err)
-		}
-		fmt.Fprintf(cfg.Log, "pubsd: clusterbench %s: 3 workers...\n", sc.name)
-		cluster, err := runTopology(ctx, 3, specs, sc.burst, cfg)
-		if err != nil {
-			return rep, fmt.Errorf("clusterbench %s (3 workers): %w", sc.name, err)
-		}
-		s := BenchScenario{Name: sc.name, Single: single, Cluster: cluster}
-		if single.JobsPerSec > 0 {
-			s.Speedup = cluster.JobsPerSec / single.JobsPerSec
-		}
-		geo *= s.Speedup
-		rep.Scenarios = append(rep.Scenarios, s)
-		fmt.Fprintf(cfg.Log, "pubsd: clusterbench %s: %.2f jobs/s -> %.2f jobs/s (%.2fx), p99 %.0fms -> %.0fms, hit ratio %.2f, %d peer hits\n",
-			sc.name, single.JobsPerSec, cluster.JobsPerSec, s.Speedup,
-			single.P99MS, cluster.P99MS, cluster.CacheHitRatio, cluster.PeerCacheHits)
-	}
-	rep.GeomeanSpeedup = math.Pow(geo, 1/float64(len(rep.Scenarios)))
-	return rep, nil
+	return g
 }
 
 // parseMetricsText extracts integer samples from a /metrics document,

@@ -1,16 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
-	"net"
-	"net/http"
 	"time"
 
+	"repro/internal/abgate"
 	"repro/internal/service"
 )
 
@@ -26,36 +22,12 @@ import (
 // fleet-wide functional pass count so the exactly-once contract is
 // checkable from the artifact.
 
-// SamplingBenchConfig sizes the BENCH_9 run.
-type SamplingBenchConfig struct {
-	// Workloads of the campaign grid (default matmul, chess, goplay,
-	// pathfind — one sampling plan each).
-	Workloads []string
-	// Machines is the machine-variant count of the grid (default 6,
-	// drawn from a fixed variant ring).
-	Machines int
-	// Log receives progress lines (nil = discard).
-	Log io.Writer
-}
+// samplingBenchWorkloads is the campaign's workload axis: one sampling
+// plan each.
+var samplingBenchWorkloads = []string{"matmul", "chess", "goplay", "pathfind"}
 
-func (c SamplingBenchConfig) normalized() SamplingBenchConfig {
-	if len(c.Workloads) == 0 {
-		c.Workloads = []string{"matmul", "chess", "goplay", "pathfind"}
-	}
-	if c.Machines <= 0 {
-		c.Machines = 6
-	}
-	if c.Machines > len(samplingBenchMachines) {
-		c.Machines = len(samplingBenchMachines)
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
-	}
-	return c
-}
-
-// samplingBenchMachines is the fixed variant ring the grid draws from:
-// distinct resolved names, so every cell is a distinct content address.
+// samplingBenchMachines is the campaign's machine axis: distinct resolved
+// names, so every cell is a distinct content address.
 var samplingBenchMachines = []service.MachineSpec{
 	{Machine: "base"},
 	{Machine: "pubs"},
@@ -65,86 +37,13 @@ var samplingBenchMachines = []service.MachineSpec{
 	{Machine: "pubs", ConfCounterBits: 4},
 }
 
-// SamplingTopologyStats is one (scenario, sharing mode) measurement.
-type SamplingTopologyStats struct {
-	PlanSharing bool    `json:"plan_sharing"`
-	WallMS      float64 `json:"wall_ms"`
-	Cells       int     `json:"cells"`
-
-	// Fleet-wide counters, summed across the 3 workers. Plans counts
-	// local functional passes only (pubsd_snapshot_plans_total), so with
-	// sharing ON it should equal the workload count — one pass per plan
-	// key fleet-wide.
-	Plans        uint64 `json:"functional_plans"`
-	PeerPlans    uint64 `json:"peer_plans_adopted"`
-	PlanPushes   uint64 `json:"plan_pushes"`
-	ResultPushes uint64 `json:"result_pushes"`
-	PeerHits     uint64 `json:"peer_cache_hits"`
-	Sims         uint64 `json:"sims_executed"`
-
-	// Coordinator-side dispatch counters.
-	RemoteCells uint64 `json:"remote_cells"`
-	Steals      uint64 `json:"steals"`
-}
-
-// SamplingScenario is one window geometry measured in both modes.
-type SamplingScenario struct {
-	Name        string `json:"name"`
-	Windows     int    `json:"windows"`
-	Warmup      uint64 `json:"warmup"`
-	Measure     uint64 `json:"measure"`
-	FastForward uint64 `json:"fast_forward"`
-	Workloads   int    `json:"workloads"`
-	Machines    int    `json:"machines"`
-
-	Off SamplingTopologyStats `json:"sharing_off"`
-	On  SamplingTopologyStats `json:"sharing_on"`
-
-	// Speedup is OFF wall time over ON wall time.
-	Speedup      float64 `json:"speedup"`
-	BitIdentical bool    `json:"bit_identical"`
-}
-
-// SamplingBenchReport is the BENCH_9.json document.
-type SamplingBenchReport struct {
-	Schema    string    `json:"schema"` // "pubsd-cluster-sampling/1"
-	Timestamp time.Time `json:"timestamp"`
-	Workers   int       `json:"workers"`
-
-	Scenarios      []SamplingScenario `json:"scenarios"`
-	GeomeanSpeedup float64            `json:"geomean_speedup"`
-	BitIdentical   bool               `json:"bit_identical"`
-}
-
-// startSamplingWorker boots one in-process worker shard sized so admission
-// never interferes: the functional pass, not queue depth, is what BENCH_9
-// measures.
-func startSamplingWorker(id string) (*benchNode, error) {
-	svc, err := service.New(service.Config{
-		NodeID:        id,
-		Workers:       2,
-		QueueDepth:    64,
-		MaxActiveJobs: 16,
-	})
-	if err != nil {
-		return nil, err
-	}
-	wk := NewWorker(svc)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: wk.Handler(svc.Handler())}
-	go func() { _ = srv.Serve(ln) }()
-	return &benchNode{svc: svc, wk: wk, srv: srv, url: "http://" + ln.Addr().String()}, nil
-}
-
 // runSamplingTopology boots a 3-worker fleet plus a coordinator, submits
-// the campaign once, and returns the wall time, the fleet counters, and
-// every cell's marshaled result keyed by content address — the
-// bit-identity evidence.
-func runSamplingTopology(ctx context.Context, sharing bool, spec service.CampaignSpec) (SamplingTopologyStats, map[string]string, error) {
-	stats := SamplingTopologyStats{PlanSharing: sharing}
+// the campaign once, and returns its submit-to-done time, the fleet
+// counters, and every cell's marshaled result keyed by content address —
+// the bit-identity evidence. Workers are sized so admission never
+// interferes: the functional pass, not queue depth, is what BENCH_9
+// measures.
+func runSamplingTopology(ctx context.Context, sharing bool, spec service.CampaignSpec) (abgate.Outcome, error) {
 	const n = 3
 	workers := make([]*benchNode, 0, n)
 	shutdown := func() {
@@ -159,9 +58,14 @@ func runSamplingTopology(ctx context.Context, sharing bool, spec service.Campaig
 
 	peers := make(map[string]string, n)
 	for i := 0; i < n; i++ {
-		w, err := startSamplingWorker(fmt.Sprintf("sbench-w%d", i+1))
+		w, err := startBenchNode(service.Config{
+			NodeID:        fmt.Sprintf("sbench-w%d", i+1),
+			Workers:       2,
+			QueueDepth:    64,
+			MaxActiveJobs: 16,
+		})
 		if err != nil {
-			return stats, nil, err
+			return abgate.Outcome{}, err
 		}
 		if !sharing {
 			w.wk.DisableReplication()
@@ -182,7 +86,7 @@ func runSamplingTopology(ctx context.Context, sharing bool, spec service.Campaig
 	}
 	csvc, err := service.New(ccfg)
 	if err != nil {
-		return stats, nil, err
+		return abgate.Outcome{}, err
 	}
 	defer func() {
 		sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -198,112 +102,105 @@ func runSamplingTopology(ctx context.Context, sharing bool, spec service.Campaig
 	t0 := time.Now()
 	job, err := csvc.Submit(spec)
 	if err != nil {
-		return stats, nil, err
+		return abgate.Outcome{}, err
 	}
 	select {
 	case <-job.Done():
 	case <-ctx.Done():
-		return stats, nil, ctx.Err()
+		return abgate.Outcome{}, ctx.Err()
 	}
-	stats.WallMS = float64(time.Since(t0).Microseconds()) / 1e3
+	wall := time.Since(t0)
 
 	st := job.Status()
 	if st.State != service.JobDone {
-		return stats, nil, fmt.Errorf("sampling bench campaign failed: %v", st.Errors)
+		return abgate.Outcome{}, fmt.Errorf("sampling bench campaign failed: %v", st.Errors)
 	}
-	stats.Cells = st.TotalCells
 	results := make(map[string]string, len(st.Results))
 	for _, res := range st.Results {
 		data, err := json.Marshal(res)
 		if err != nil {
-			return stats, nil, err
+			return abgate.Outcome{}, err
 		}
 		results[res.Key] = string(data)
 	}
 
+	// Fleet-wide sums over the 3 workers. functional_plans counts local
+	// functional passes only (pubsd_snapshot_plans_total), so with sharing
+	// on it must equal the workload count: one pass per plan key
+	// fleet-wide.
+	c := map[string]float64{"cells": float64(st.TotalCells)}
 	for _, w := range workers {
 		m := parseMetricsText(w.svc.MetricsText())
-		stats.Plans += m["pubsd_snapshot_plans_total"]
-		stats.PeerPlans += m["pubsd_snapshot_peer_plans_total"]
-		stats.PlanPushes += m["pubsd_plan_pushes_total"]
-		stats.ResultPushes += m["pubsd_cluster_result_pushes_total"]
-		stats.PeerHits += m["pubsd_cluster_peer_cache_hits_total"]
-		stats.Sims += m["pubsd_sims_executed_total"]
+		c["functional_plans"] += float64(m["pubsd_snapshot_plans_total"])
+		c["peer_plans_adopted"] += float64(m["pubsd_snapshot_peer_plans_total"])
+		c["plan_pushes"] += float64(m["pubsd_plan_pushes_total"])
+		c["result_pushes"] += float64(m["pubsd_cluster_result_pushes_total"])
+		c["peer_cache_hits"] += float64(m["pubsd_cluster_peer_cache_hits_total"])
+		c["sims_executed"] += float64(m["pubsd_sims_executed_total"])
 	}
 	cm := parseMetricsText(csvc.MetricsText())
-	stats.RemoteCells = cm["pubsd_cluster_remote_cells_total"]
-	stats.Steals = cm["pubsd_cluster_steals_total"]
-	return stats, results, nil
+	c["remote_cells"] = float64(cm["pubsd_cluster_remote_cells_total"])
+	c["steals"] = float64(cm["pubsd_cluster_steals_total"])
+	return abgate.Outcome{Result: results, Counters: c, Elapsed: wall}, nil
 }
 
-// identicalResults reports whether two topology runs produced the same key
-// set with byte-identical marshaled results.
-func identicalResults(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
+// SamplingBenchGate is BENCH_9: per window geometry, the wall time of a
+// window-major sampled campaign on a 3-worker fleet with plan sharing and
+// batched sweep dispatch off (A: per-cell dispatch, every node paying its
+// own functional pass per workload) against on (B). Both must produce
+// byte-identical results per content address; the floor is 1.5x, the
+// baseline tolerance 20%, and with sharing on the fleet must pay exactly
+// one functional pass per workload. ctx bounds every campaign.
+func SamplingBenchGate(ctx context.Context) abgate.Gate {
+	g := abgate.Gate{
+		Name:   "BENCH_9",
+		Groups: []abgate.Group{{Key: "geomean_speedup", Floor: 1.5, Tolerance: 0.20}},
+		Checks: []func(*abgate.Report) []string{onePassPerWorkload},
 	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || !bytes.Equal([]byte(v), []byte(w)) {
-			return false
-		}
-	}
-	return true
-}
-
-// RunSamplingBench measures both modes across the scenario set. Gating
-// (speedup floor, baseline regression, bit-identity) is the caller's job —
-// cmd/pubsd clusterbench -sampling — like the other bench harnesses.
-func RunSamplingBench(ctx context.Context, cfg SamplingBenchConfig) (SamplingBenchReport, error) {
-	cfg = cfg.normalized()
-	rep := SamplingBenchReport{
-		Schema: "pubsd-cluster-sampling/1", Timestamp: time.Now(),
-		Workers: 3, BitIdentical: true,
-	}
-	machines := samplingBenchMachines[:cfg.Machines]
-	scenarios := []SamplingScenario{
+	for _, sc := range []struct {
+		name            string
+		windows         int
+		warmup, measure uint64
+		fastForward     uint64
+	}{
 		// Fast-forward dominates: the plan is nearly the whole campaign, so
 		// sharing it approaches a 3x cut in fleet functional work.
-		{Name: "plan-heavy", Windows: 3, Warmup: 1_000, Measure: 3_000, FastForward: 6_000_000},
+		{name: "plan-heavy", windows: 3, warmup: 1_000, measure: 3_000, fastForward: 6_000_000},
 		// Replay and planning comparable: sharing still wins, by less.
-		{Name: "balanced", Windows: 4, Warmup: 2_000, Measure: 6_000, FastForward: 2_000_000},
-	}
-	geo := 1.0
-	for _, sc := range scenarios {
-		sc.Workloads = len(cfg.Workloads)
-		sc.Machines = len(machines)
+		{name: "balanced", windows: 4, warmup: 2_000, measure: 6_000, fastForward: 2_000_000},
+	} {
 		spec := service.CampaignSpec{
-			Machines:    machines,
-			Workloads:   cfg.Workloads,
-			Warmup:      sc.Warmup,
-			Measure:     sc.Measure,
-			Windows:     sc.Windows,
-			FastForward: sc.FastForward,
+			Machines:    samplingBenchMachines,
+			Workloads:   samplingBenchWorkloads,
+			Warmup:      sc.warmup,
+			Measure:     sc.measure,
+			Windows:     sc.windows,
+			FastForward: sc.fastForward,
 			WindowMajor: true,
 		}
-		fmt.Fprintf(cfg.Log, "pubsd: sampling bench %s: sharing off...\n", sc.Name)
-		off, offRes, err := runSamplingTopology(ctx, false, spec)
-		if err != nil {
-			return rep, fmt.Errorf("sampling bench %s (sharing off): %w", sc.Name, err)
-		}
-		fmt.Fprintf(cfg.Log, "pubsd: sampling bench %s: sharing on...\n", sc.Name)
-		on, onRes, err := runSamplingTopology(ctx, true, spec)
-		if err != nil {
-			return rep, fmt.Errorf("sampling bench %s (sharing on): %w", sc.Name, err)
-		}
-		sc.Off, sc.On = off, on
-		sc.BitIdentical = identicalResults(offRes, onRes)
-		if !sc.BitIdentical {
-			rep.BitIdentical = false
-		}
-		if on.WallMS > 0 {
-			sc.Speedup = off.WallMS / on.WallMS
-		}
-		geo *= sc.Speedup
-		rep.Scenarios = append(rep.Scenarios, sc)
-		fmt.Fprintf(cfg.Log, "pubsd: sampling bench %s: %.0fms -> %.0fms (%.2fx), fleet plans %d -> %d, peer plans %d, identical=%v\n",
-			sc.Name, off.WallMS, on.WallMS, sc.Speedup, off.Plans, on.Plans, on.PeerPlans, sc.BitIdentical)
+		g.Cases = append(g.Cases, abgate.Case{
+			Name: sc.name,
+			A:    func() (abgate.Outcome, error) { return runSamplingTopology(ctx, false, spec) },
+			B:    func() (abgate.Outcome, error) { return runSamplingTopology(ctx, true, spec) },
+		})
 	}
-	rep.GeomeanSpeedup = math.Pow(geo, 1/float64(len(rep.Scenarios)))
-	return rep, nil
+	return g
+}
+
+// onePassPerWorkload fails every case whose sharing-on fleet paid other
+// than one functional pass per workload.
+func onePassPerWorkload(r *abgate.Report) []string {
+	var fails []string
+	want := float64(len(samplingBenchWorkloads))
+	for _, e := range r.Entries {
+		var got float64
+		if e.B != nil {
+			got = e.B.Counters["functional_plans"]
+		}
+		if got != want {
+			fails = append(fails, fmt.Sprintf("%s: fleet paid %.0f functional passes with sharing on, want exactly %.0f (one per workload)",
+				e.Name, got, want))
+		}
+	}
+	return fails
 }
