@@ -29,6 +29,7 @@ type DynInst struct {
 // Machine executes a program one instruction at a time.
 type Machine struct {
 	prog *isa.Program
+	code []isa.Inst                 // prog.Code, held directly for exec
 	regs [isa.NumLogicalRegs]uint64 // FP regs hold Float64bits
 	mem  []byte
 	pc   int // instruction index
@@ -47,7 +48,7 @@ func New(p *isa.Program) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{prog: p, pc: p.Entry}
+	m := &Machine{prog: p, code: p.Code, pc: p.Entry}
 	m.mem = make([]byte, p.MemSize)
 	copy(m.mem, p.Data)
 	m.dirty = make([]uint64, (numPages(len(m.mem))+63)/64)
@@ -78,8 +79,15 @@ func (m *Machine) FReg(r isa.Reg) float64 { return math.Float64frombits(m.regs[r
 // ReadWord returns the 8-byte word at addr (for tests/inspection).
 func (m *Machine) ReadWord(addr uint64) uint64 { return m.load(addr) }
 
+// inBounds reports whether the 8-byte word at addr is aligned and lies
+// inside memory. It is written so that no sum can wrap: addr near 2^64
+// must fail here, not slip past as a small end offset.
+func (m *Machine) inBounds(addr uint64) bool {
+	return addr%8 == 0 && addr < uint64(len(m.mem)) && uint64(len(m.mem))-addr >= 8
+}
+
 func (m *Machine) load(addr uint64) uint64 {
-	if addr+8 > uint64(len(m.mem)) || addr%8 != 0 {
+	if !m.inBounds(addr) {
 		panic(fmt.Sprintf("emu %q: bad load address %#x (mem %d) at pc %d",
 			m.prog.Name, addr, len(m.mem), m.pc))
 	}
@@ -89,7 +97,7 @@ func (m *Machine) load(addr uint64) uint64 {
 }
 
 func (m *Machine) store(addr, v uint64) {
-	if addr+8 > uint64(len(m.mem)) || addr%8 != 0 {
+	if !m.inBounds(addr) {
 		panic(fmt.Sprintf("emu %q: bad store address %#x (mem %d) at pc %d",
 			m.prog.Name, addr, len(m.mem), m.pc))
 	}
@@ -119,22 +127,18 @@ func (m *Machine) setF(r isa.Reg, v float64) {
 	m.setReg(r, math.Float64bits(v))
 }
 
-// Step executes one instruction and returns its dynamic record.
-// ok is false once the program has halted.
-func (m *Machine) Step() (di DynInst, ok bool) {
-	if m.done {
-		return DynInst{}, false
-	}
+// exec executes the instruction at pc: it updates the registers, memory,
+// dirty bits, pc, seq and the halt flag, and returns what a dynamic record
+// needs beyond the static instruction and the new pc — whether control
+// transferred and the effective memory address (0 for non-memory ops). It
+// is the emulator's only copy of the ISA semantics: Run loops on it alone,
+// and Step wraps it with a DynInst. The caller checks done first.
+func (m *Machine) exec() (taken bool, addr uint64) {
 	idx := m.pc
-	in := m.prog.Code[idx]
-	di = DynInst{
-		Seq:   m.seq,
-		Idx:   idx,
-		PC:    isa.PC(idx),
-		Inst:  in,
-		Class: in.Class(),
-	}
+	in := &m.code[idx]
 	next := idx + 1
+	// Every direct control transfer goes to the immediate; Jr overrides it.
+	target := int(in.Imm)
 
 	switch in.Op {
 	case isa.Nop:
@@ -194,17 +198,17 @@ func (m *Machine) Step() (di DynInst, ok bool) {
 		}
 
 	case isa.Ld:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.setReg(in.Rd, m.load(di.Addr))
+		addr = m.regs[in.Rs1] + uint64(in.Imm)
+		m.setReg(in.Rd, m.load(addr))
 	case isa.St:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.store(di.Addr, m.regs[in.Rs2])
+		addr = m.regs[in.Rs1] + uint64(in.Imm)
+		m.store(addr, m.regs[in.Rs2])
 	case isa.Fld:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.regs[in.Rd] = m.load(di.Addr)
+		addr = m.regs[in.Rs1] + uint64(in.Imm)
+		m.regs[in.Rd] = m.load(addr)
 	case isa.Fst:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.store(di.Addr, m.regs[in.Rs2])
+		addr = m.regs[in.Rs1] + uint64(in.Imm)
+		m.store(addr, m.regs[in.Rs2])
 
 	case isa.Fadd:
 		m.setF(in.Rd, m.fval(in.Rs1)+m.fval(in.Rs2))
@@ -222,59 +226,98 @@ func (m *Machine) Step() (di DynInst, ok bool) {
 		m.setF(in.Rd, float64(int64(m.regs[in.Rs1])))
 
 	case isa.Beq:
-		di.Taken = m.regs[in.Rs1] == m.regs[in.Rs2]
+		taken = m.regs[in.Rs1] == m.regs[in.Rs2]
 	case isa.Bne:
-		di.Taken = m.regs[in.Rs1] != m.regs[in.Rs2]
+		taken = m.regs[in.Rs1] != m.regs[in.Rs2]
 	case isa.Blt:
-		di.Taken = int64(m.regs[in.Rs1]) < int64(m.regs[in.Rs2])
+		taken = int64(m.regs[in.Rs1]) < int64(m.regs[in.Rs2])
 	case isa.Bge:
-		di.Taken = int64(m.regs[in.Rs1]) >= int64(m.regs[in.Rs2])
+		taken = int64(m.regs[in.Rs1]) >= int64(m.regs[in.Rs2])
 	case isa.Jmp:
-		di.Taken = true
-		next = int(in.Imm)
+		taken = true
 	case isa.Jal:
-		di.Taken = true
+		taken = true
 		m.setReg(in.Rd, uint64(idx+1))
-		next = int(in.Imm)
 	case isa.Jr:
-		di.Taken = true
-		next = int(m.regs[in.Rs1])
-		if next < 0 || next >= len(m.prog.Code) {
-			panic(fmt.Sprintf("emu %q: jr to invalid index %d at pc %d", m.prog.Name, next, idx))
+		taken = true
+		target = int(m.regs[in.Rs1])
+		if target < 0 || target >= len(m.code) {
+			panic(fmt.Sprintf("emu %q: jr to invalid index %d at pc %d", m.prog.Name, target, idx))
 		}
 
 	case isa.Halt:
+		// A halted machine keeps its pc on the Halt.
 		m.done = true
-		di.NextPC = di.PC
-		m.seq++
-		return di, true
+		next = idx
 
 	default:
 		panic(fmt.Sprintf("emu %q: unimplemented op %v at pc %d", m.prog.Name, in.Op, idx))
 	}
 
-	if in.IsCondBranch() {
-		di.Target = isa.PC(int(in.Imm))
-		if di.Taken {
-			next = int(in.Imm)
-		}
-	} else if in.IsControl() {
-		di.Target = isa.PC(next)
+	if taken {
+		next = target
 	}
-	di.NextPC = isa.PC(next)
 	m.pc = next
 	m.seq++
+	return taken, addr
+}
+
+// opDecode is the per-opcode part of a DynInst that Step derives from the
+// static instruction, tabulated once from the isa predicates so the
+// record-building path pays one load instead of three opcode switches.
+type opDecode struct {
+	class   isa.Class
+	cond    bool // conditional branch: target is the immediate
+	control bool // any control transfer: target is where it went
+}
+
+var opDecodes [256]opDecode
+
+func init() {
+	for op := range opDecodes {
+		in := isa.Inst{Op: isa.Op(op)}
+		opDecodes[op] = opDecode{class: in.Class(), cond: in.IsCondBranch(), control: in.IsControl()}
+	}
+}
+
+// Step executes one instruction and returns its dynamic record.
+// ok is false once the program has halted.
+func (m *Machine) Step() (di DynInst, ok bool) {
+	if m.done {
+		return DynInst{}, false
+	}
+	idx := m.pc
+	taken, addr := m.exec()
+	in := &m.code[idx]
+	dec := &opDecodes[in.Op]
+	di = DynInst{
+		Seq:    m.seq - 1,
+		Idx:    idx,
+		PC:     isa.PC(idx),
+		Inst:   *in,
+		Class:  dec.class,
+		Taken:  taken,
+		NextPC: isa.PC(m.pc),
+		Addr:   addr,
+	}
+	if dec.cond {
+		di.Target = isa.PC(int(in.Imm))
+	} else if dec.control {
+		di.Target = di.NextPC
+	}
 	return di, true
 }
 
 // Run executes up to max instructions (all of them if max == 0), returning
-// the number executed. Useful for tests and workload calibration.
+// the number executed. It builds no dynamic records, which makes it the
+// functional fast-forward path.
 func (m *Machine) Run(max uint64) uint64 {
+	if max == 0 {
+		max = math.MaxUint64
+	}
 	var n uint64
-	for !m.done && (max == 0 || n < max) {
-		if _, ok := m.Step(); !ok {
-			break
-		}
+	for n < max && !m.done {
+		m.exec()
 		n++
 	}
 	return n

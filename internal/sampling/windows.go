@@ -38,13 +38,21 @@ type Window struct {
 // overrun falls back to a live emulator stream, changing nothing but speed.
 const replaySlack = 2048
 
-// PlanWindows fast-forwards the functional emulator once through the
-// program, snapshotting at each window start and functionally skipping the
-// detailed (warm-up + measure) region so the next window begins where a
-// serial detailed run would leave off. A program that halts during a
-// fast-forward gap truncates the plan; one that halts inside a window's
-// detailed region keeps that window (it may still measure a partial tail)
-// and truncates the rest. The context is checked between windows.
+// PlanWindows walks the program once with the functional emulator,
+// snapshotting at each window start. Window w starts at instruction
+// (w+1)·FastForward + w·(Warmup+Measure) — exactly where a serial detailed
+// run would leave off — so the pass never rewinds. A program that halts
+// before a window's start truncates the plan there; one that halts inside
+// a window's detailed region keeps that window (it may still measure a
+// partial tail) and places no more. The context is checked between
+// windows.
+//
+// In trace mode each window also gets a predecode recorder that captures
+// its detailed region plus replaySlack instructions of tail slack. The
+// pass steps (building records) only while some recorder is open and runs
+// the record-free fast-forward otherwise. When the fast-forward is shorter
+// than the slack, one window's slack overlaps the next window, and every
+// open recorder receives the shared instructions.
 func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -57,62 +65,69 @@ func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window,
 		return nil, err
 	}
 	detailed := plan.Warmup + plan.Measure
+	p := planPass{m: m, span: int(detailed) + replaySlack}
 	var windows []Window
+	start := plan.FastForward
 	for w := 0; w < plan.Windows; w++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sampling: planning window %d: %w", w, err)
 		}
-		if plan.FastForward > 0 {
-			if ran := m.Run(plan.FastForward); ran < plan.FastForward {
-				break // program halted during fast-forward
-			}
+		if !p.advance(start) {
+			break // program halted before this window's start
 		}
-		if m.Done() {
-			break
+		win := Window{Index: w, StartInst: start, Snap: m.Snapshot()}
+		if !plan.LiveDecode {
+			win.Pre = emu.NewPredecode(p.span)
+			p.open = append(p.open, win.Pre)
 		}
-		win := Window{Index: w, StartInst: m.Seq(), Snap: m.Snapshot()}
-		if plan.LiveDecode {
-			windows = append(windows, win)
-			if ran := m.Run(detailed); ran < detailed {
-				break // program ends inside this window; no windows follow
-			}
-			continue
-		}
-		// Trace mode: the same pass that skips the detailed region records
-		// it (plus tail slack for the front end's bounded overfetch) into
-		// the window's predecode buffer.
-		rec := emu.NewPredecode(int(detailed) + replaySlack)
-		full := true
-		for k := uint64(0); k < detailed; k++ {
-			di, ok := m.Step()
-			if !ok {
-				full = false
-				break
-			}
-			rec.Append(di)
-		}
-		win.Pre = rec
 		windows = append(windows, win)
-		if !full {
-			break // program ends inside this window; no windows follow
-		}
-		// Record the slack, then rewind the placement machine to the end of
-		// the detailed region so the next window starts exactly where a
-		// live-decode plan would place it.
-		tail := m.Snapshot()
-		for k := 0; k < replaySlack; k++ {
-			di, ok := m.Step()
-			if !ok {
-				break
-			}
-			rec.Append(di)
-		}
-		m, err = emu.NewFromSnapshot(prog, tail)
-		if err != nil {
-			return nil, fmt.Errorf("sampling: planning window %d: %w", w, err)
-		}
+		start += detailed + plan.FastForward
+	}
+	// Fill the recorders still open: the last windows' detailed regions
+	// and slack, unless the program halts first.
+	for len(p.open) > 0 && p.step() {
 	}
 	return windows, nil
+}
+
+// planPass is PlanWindows' single forward walk: the placement machine and
+// the predecode recorders still filling.
+type planPass struct {
+	m    *emu.Machine
+	span int              // records per full recorder: detailed + replaySlack
+	open []*emu.Predecode // oldest first; each closes on reaching span
+}
+
+// advance executes up to instruction seq, reporting whether the program is
+// still running there. Instructions inside an open recorder's span are
+// stepped into it; the rest run record-free.
+func (p *planPass) advance(seq uint64) bool {
+	for p.m.Seq() < seq && !p.m.Done() {
+		if len(p.open) == 0 {
+			p.m.Run(seq - p.m.Seq())
+			break
+		}
+		p.step()
+	}
+	return !p.m.Done()
+}
+
+// step executes one instruction into every open recorder and closes the
+// full ones. It reports false once the program has halted.
+func (p *planPass) step() bool {
+	di, ok := p.m.Step()
+	if !ok {
+		return false
+	}
+	for _, rec := range p.open {
+		rec.Append(di)
+	}
+	// Recorders open in order and fill at one rate, so only the oldest
+	// can be full.
+	if p.open[0].Len() == p.span {
+		p.open = p.open[1:]
+	}
+	return true
 }
 
 // planKey content-addresses a (program, plan geometry) pair. The hash
