@@ -15,7 +15,7 @@ import (
 )
 
 // Timeouts for the traffic classes of the wire protocol. Execute bounds a
-// detailed simulation (and a whole sweep batch), so it is generous; a
+// whole sweep batch of detailed simulations, so it is generous; a
 // peer-cache fetch is a map lookup, so a peer that cannot answer fast is
 // treated as a miss; the control plane (join, membership pushes) sits in
 // between. Plan transfers move megabytes and — with ?wait=1 — deliberately
@@ -38,7 +38,7 @@ const (
 // caps idle connections per host at 2 and throws the rest away, paying a
 // TCP handshake per dispatch under any real concurrency). Per-call
 // deadlines stay on each request's context — the client itself sets none,
-// so one slow plan transfer cannot time out an unrelated execute.
+// so one slow plan transfer cannot time out an unrelated sweep dispatch.
 var sharedTransport = &http.Transport{
 	Proxy:               http.ProxyFromEnvironment,
 	MaxIdleConns:        256,
@@ -63,49 +63,6 @@ type saturatedError struct {
 }
 
 func (e *saturatedError) Error() string { return e.msg }
-
-// executeCell runs one cell on the node at base. A nil error means the
-// worker answered (possibly with a cell-level failure inside the response);
-// a *saturatedError means admission pushed back; any other error means the
-// node itself failed and should leave the ring.
-func executeCell(ctx context.Context, hc *http.Client, base string, rc service.RemoteCell) (executeResponse, error) {
-	body, err := json.Marshal(rc)
-	if err != nil {
-		return executeResponse{}, fmt.Errorf("cluster: encoding cell: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(ctx, executeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/cluster/execute", bytes.NewReader(body))
-	if err != nil {
-		return executeResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return executeResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes))
-	if err != nil {
-		return executeResponse{}, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var out executeResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			return executeResponse{}, fmt.Errorf("cluster: decoding execute response: %w", err)
-		}
-		return out, nil
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		after := time.Second
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			after = time.Duration(secs) * time.Second
-		}
-		return executeResponse{}, &saturatedError{after: after, msg: fmt.Sprintf("cluster: %s saturated: %s", base, strings.TrimSpace(string(data)))}
-	default:
-		return executeResponse{}, fmt.Errorf("cluster: %s: execute: %s: %s", base, resp.Status, strings.TrimSpace(string(data)))
-	}
-}
 
 // fetchResult asks the node at base for a finished cell by content address —
 // the peer tier of the two-tier cache. Any failure (timeout, 404, a dead
@@ -132,14 +89,13 @@ func fetchResult(ctx context.Context, hc *http.Client, base, key string) (servic
 	return res, true
 }
 
-// executeSweepBatch dispatches one workload batch to the node at base and
-// collects the streamed NDJSON lines. Error classification mirrors
-// executeCell: nil means the node answered the batch (individual cells may
-// still carry errors in their lines); *saturatedError means admission
-// pushed back and the whole batch should be offered elsewhere; anything
-// else is a node fault. A response that dies mid-stream returns the lines
-// that landed plus the transport error — the already-settled cells stay
-// settled.
+// executeSweepBatch dispatches one batch to the node at base and collects
+// the streamed NDJSON lines. A nil error means the node answered the batch
+// (individual cells may still carry errors in their lines); a
+// *saturatedError means admission pushed back and the whole batch should be
+// offered elsewhere; anything else is a node fault. A response that dies
+// mid-stream returns the lines that landed plus the transport error — the
+// already-settled cells stay settled.
 func executeSweepBatch(ctx context.Context, hc *http.Client, base string, req sweepRequest) ([]sweepLine, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -159,18 +115,11 @@ func executeSweepBatch(ctx context.Context, hc *http.Client, base string, req sw
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var lines []sweepLine
-		dec := json.NewDecoder(resp.Body)
-		for {
-			var ln sweepLine
-			if derr := dec.Decode(&ln); derr != nil {
-				if derr == io.EOF {
-					return lines, nil
-				}
-				return lines, fmt.Errorf("cluster: %s: sweep stream: %w", base, derr)
-			}
-			lines = append(lines, ln)
+		lines, err := readSweepLines(resp.Body, req.Cells)
+		if err != nil {
+			return lines, fmt.Errorf("cluster: %s: sweep stream: %w", base, err)
 		}
+		return lines, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes))
 		after := time.Second
@@ -181,6 +130,41 @@ func executeSweepBatch(ctx context.Context, hc *http.Client, base string, req sw
 	default:
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes))
 		return nil, fmt.Errorf("cluster: %s: sweep: %s: %s", base, resp.Status, strings.TrimSpace(string(data)))
+	}
+}
+
+// readSweepLines decodes a sweep response stream against the cells that
+// were requested. It reads at most one wire bound per cell plus one, so a
+// peer cannot make the coordinator buffer without limit; it keeps only the
+// first line for each requested key, dropping lines for keys nobody asked
+// for; and a success line whose result names a different content address
+// than its key settles as a key-mismatch cell error rather than serving the
+// wrong cell. A malformed or truncated stream returns the lines accepted so
+// far with the decode error.
+func readSweepLines(r io.Reader, requested []service.RemoteCell) ([]sweepLine, error) {
+	open := make(map[string]bool, len(requested))
+	for _, rc := range requested {
+		open[rc.Key] = true
+	}
+	dec := json.NewDecoder(io.LimitReader(r, int64(len(requested)+1)*maxWireBytes))
+	var lines []sweepLine
+	for {
+		var ln sweepLine
+		if err := dec.Decode(&ln); err != nil {
+			if err == io.EOF {
+				return lines, nil
+			}
+			return lines, err
+		}
+		if !open[ln.Key] {
+			continue
+		}
+		open[ln.Key] = false
+		if ln.Source != "error" && ln.Error == "" && ln.Result.Key != ln.Key {
+			ln = sweepLine{Key: ln.Key, Source: "error", Error: fmt.Sprintf(
+				"cluster: key mismatch: asked for %s, peer answered %s", ln.Key, ln.Result.Key)}
+		}
+		lines = append(lines, ln)
 	}
 }
 

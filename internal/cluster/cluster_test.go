@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -226,6 +228,75 @@ func TestClusterBitIdentityAndExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestSingleCellTravelsAsBatchOfOne: a coordinator with only the per-cell
+// seam set still has one execution path — every cell of a contiguous job
+// reaches its worker as a one-cell sweep batch, the results are
+// byte-identical to a single node, and the retired per-cell endpoint is
+// gone from the worker.
+func TestSingleCellTravelsAsBatchOfOne(t *testing.T) {
+	spec := testSpec()
+	spec.Workloads = spec.Workloads[:2]
+	cells := len(spec.Machines) * len(spec.Workloads)
+
+	single := startService(t, service.Config{NodeID: "single", Workers: 1})
+	refJSON := resultsJSON(t, submitAndWait(t, single, spec))
+
+	var mu sync.Mutex
+	var batches []int // cells per sweep request, across both workers
+	var routes []string
+	logRoutes := func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			routes = append(routes, r.Method+" "+r.URL.Path)
+			mu.Unlock()
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/cluster/sweep" {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				var req sweepRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Errorf("undecodable sweep request: %v", err)
+				}
+				mu.Lock()
+				batches = append(batches, len(req.Cells))
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	w1 := startWorker(t, "w1", service.Config{}, logRoutes)
+	w2 := startWorker(t, "w2", service.Config{}, logRoutes)
+	csvc, _ := startCoordinator(t, "coord", []*testNode{w1, w2})
+	if gotJSON := resultsJSON(t, submitAndWait(t, csvc, spec)); gotJSON != refJSON {
+		t.Errorf("cluster results differ from single-node run:\ncluster: %s\nsingle:  %s", gotJSON, refJSON)
+	}
+
+	mu.Lock()
+	if len(batches) != cells {
+		t.Errorf("%d sweep requests for %d cells: %v", len(batches), cells, batches)
+	}
+	for _, n := range batches {
+		if n != 1 {
+			t.Errorf("a single-cell dispatch carried %d cells", n)
+		}
+	}
+	for _, r := range routes {
+		if strings.HasPrefix(r, "POST /v1/cluster/") && r != "POST /v1/cluster/sweep" &&
+			r != "POST /v1/cluster/peers" && r != "POST /v1/cluster/result" {
+			t.Errorf("unexpected cluster route %q", r)
+		}
+	}
+	mu.Unlock()
+
+	resp, err := http.Post(w1.srv.URL+"/v1/cluster/execute", "application/json", strings.NewReader(`{"key":"x"}`))
+	if err != nil {
+		t.Fatalf("POST execute: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/cluster/execute answered %s, want 404 or 405", resp.Status)
+	}
+}
+
 // TestClusterTwoTierPeerFetch checks the peer tier: after a campaign runs
 // on a one-node cluster, a rerun on a cold coordinator over that node plus
 // a fresh joiner completes with zero new simulations — the joiner's cells
@@ -297,6 +368,24 @@ func (k *killableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	k.inner.ServeHTTP(w, r)
 }
 
+// killOnWrite runs kill just before the first body write of a response —
+// for a sweep stream, the moment the worker has a finished cell to report.
+type killOnWrite struct {
+	http.ResponseWriter
+	kill func()
+}
+
+func (k *killOnWrite) Write(p []byte) (int, error) {
+	k.kill()
+	return k.ResponseWriter.Write(p)
+}
+
+func (k *killOnWrite) Flush() {
+	if f, ok := k.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // TestClusterFailover kills a worker mid-campaign and checks the re-shard
 // path: the campaign still completes bit-identically to a single-node
 // reference, the dead node leaves the ring, and — after the node restarts
@@ -315,18 +404,19 @@ func TestClusterFailover(t *testing.T) {
 	// w1 dies the moment it finishes its first cell: connections are
 	// severed mid-flight (responses in flight may or may not land — both
 	// happen in real failures) and every later request aborts. The kill is
-	// synchronous with the first execute's completion: an asynchronous kill
-	// raced against the remaining cells, and fast simulation (the idle-skip
-	// bursts) let w1 finish its whole share before the kill landed, leaving
-	// the ring intact.
+	// synchronous with the first cell's completion — just before its line
+	// is written to the sweep stream, so that report is lost with the node:
+	// an asynchronous kill raced against the remaining cells, and fast
+	// simulation (the idle-skip bursts) let w1 finish its whole share before
+	// the kill landed, leaving the ring intact.
 	killer := &killableWorker{}
 	wrap := func(inner http.Handler) http.Handler {
 		var firstDone sync.Once
 		killer.inner = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			inner.ServeHTTP(w, r)
-			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/execute") {
-				firstDone.Do(killer.kill)
+			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/sweep") {
+				w = &killOnWrite{ResponseWriter: w, kill: func() { firstDone.Do(killer.kill) }}
 			}
+			inner.ServeHTTP(w, r)
 		})
 		return killer
 	}

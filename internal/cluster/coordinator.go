@@ -11,12 +11,12 @@ import (
 )
 
 // Coordinator shards cells across worker nodes by content address. It
-// plugs into a pubsd daemon as its service.RemoteFunc: the daemon keeps
-// owning admission control, job lifecycle, and the cluster-wide
-// singleflight (each unique cell reaches Remote once), while the
-// coordinator owns placement — ring ownership first, work-stealing onto
-// idle peers when the owner is saturated, and re-sharding when a node
-// stops answering.
+// plugs into a pubsd daemon as its service.RemoteFunc and RemoteSweepFunc:
+// the daemon keeps owning admission control, job lifecycle, and the
+// cluster-wide singleflight (each unique cell reaches the coordinator
+// once), while the coordinator owns placement — ring ownership first,
+// work-stealing onto idle peers when the owner is saturated, and
+// re-sharding when a node stops answering.
 type Coordinator struct {
 	hc *http.Client
 
@@ -157,80 +157,33 @@ func (c *Coordinator) plan(key string) (order []string, urls map[string]string, 
 // it past a second, so a draining queue is re-offered promptly.
 const stealBackoffCap = time.Second
 
-// Remote is the service.RemoteFunc a coordinator daemon runs with. For
-// each cell it tries the ring owner, steals to the other members when the
-// owner pushes back, drops members that stop answering (their cells
-// re-shard by construction), and backs off briefly when the whole fleet is
-// saturated. With no live workers it declines the cell, which makes an
-// empty or fully failed cluster degrade to a plain single-node daemon.
+// Remote is the service.RemoteFunc a coordinator daemon runs with: a
+// single cell is a batch of one with no plan key, placed by dispatchBatch
+// like any sweep. handled=false means the ring emptied before the cell
+// settled, which makes an empty or fully failed cluster degrade to a plain
+// single-node daemon.
 func (c *Coordinator) Remote(ctx context.Context, rc service.RemoteCell) (service.CellResult, bool, error) {
-	for {
-		order, urls, owner, ok := c.plan(rc.Key)
-		if !ok {
-			return service.CellResult{}, false, nil
-		}
-		wait := time.Duration(0)
-		for _, node := range order {
-			resp, err := executeCell(ctx, c.hc, urls[node], rc)
-			var sat *saturatedError
-			switch {
-			case err == nil:
-				cc := c.countersRef()
-				cc.AddRemoteCell()
-				if node != owner {
-					cc.AddSteal()
-				}
-				if resp.Source == "error" || resp.Error != "" {
-					return service.CellResult{}, true, errors.New(resp.Error)
-				}
-				return resp.Result, true, nil
-			case errors.As(err, &sat):
-				// Healthy but full: a steal candidate for this round and a
-				// backoff hint for the next.
-				if wait == 0 || sat.after < wait {
-					wait = sat.after
-				}
-			case ctx.Err() != nil:
-				// Shutdown or cancellation, not a node fault.
-				return service.CellResult{}, true, ctx.Err()
-			default:
-				// The node itself failed (connection refused, mid-request
-				// death, 5xx): remove it so every cell it owned re-shards,
-				// and keep trying this cell on the rest of this round's
-				// snapshot.
-				c.countersRef().AddNodeFailure()
-				c.RemoveNode(node)
-			}
-		}
-		if wait <= 0 {
-			wait = 50 * time.Millisecond
-		}
-		if wait > stealBackoffCap {
-			wait = stealBackoffCap
-		}
-		select {
-		case <-ctx.Done():
-			return service.CellResult{}, true, ctx.Err()
-		case <-time.After(wait):
-		}
+	res, errs := c.dispatchBatch(ctx, sweepRequest{Cells: []service.RemoteCell{rc}})
+	if err, ok := errs[rc.Key]; ok {
+		return service.CellResult{}, true, err
 	}
+	r, ok := res[rc.Key]
+	return r, ok, nil
 }
 
 // RemoteSweep is the service.RemoteSweepFunc a coordinator daemon runs
 // with: one workload sweep's unresolved cells arrive together, and leave as
-// one batched dispatch per owning node instead of a POST per cell. The
-// coordinator also designates the sweep's planner — the single node that
-// pays the workload's functional fast-forward pass, which every other
-// recipient long-polls instead of duplicating: the ring owner of the plan
-// key when it is among the recipients (so repeated sweeps land their plans
-// on the same node), otherwise the recipient with the most cells (the node
-// with the most replay work to amortize the pass against).
+// one batched dispatch per owning node instead of a one-cell batch per
+// cell. The coordinator also designates the sweep's planner — the single
+// node that pays the workload's functional fast-forward pass, which every
+// other recipient long-polls instead of duplicating: the ring owner of the
+// plan key when it is among the recipients (so repeated sweeps land their
+// plans on the same node), otherwise the recipient with the most cells (the
+// node with the most replay work to amortize the pass against). The
+// planner's URL is read under the same lock as the grouping, so every
+// recipient can reach the planner whatever its own membership view says.
 func (c *Coordinator) RemoteSweep(ctx context.Context, planKey string, cells []service.RemoteCell) (map[string]service.CellResult, map[string]error, bool) {
 	c.mu.Lock()
-	if c.ring.Len() == 0 {
-		c.mu.Unlock()
-		return nil, nil, false
-	}
 	groups := make(map[string][]service.RemoteCell)
 	for _, rc := range cells {
 		owner, ok := c.ring.Owner(rc.Key)
@@ -241,8 +194,6 @@ func (c *Coordinator) RemoteSweep(ctx context.Context, planKey string, cells []s
 		groups[owner] = append(groups[owner], rc)
 	}
 	plannerOwner, _ := c.ring.Owner(planKey)
-	c.mu.Unlock()
-
 	planner := ""
 	if planKey != "" {
 		if _, ok := groups[plannerOwner]; ok {
@@ -256,16 +207,20 @@ func (c *Coordinator) RemoteSweep(ctx context.Context, planKey string, cells []s
 			}
 		}
 	}
+	plannerURL := c.urls[planner]
+	c.mu.Unlock()
 
 	res := make(map[string]service.CellResult, len(cells))
 	errs := make(map[string]error)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for owner, group := range groups {
+	for _, group := range groups {
 		wg.Add(1)
-		go func(owner string, group []service.RemoteCell) {
+		go func(group []service.RemoteCell) {
 			defer wg.Done()
-			r, e := c.dispatchBatch(ctx, planKey, planner, group)
+			r, e := c.dispatchBatch(ctx, sweepRequest{
+				Cells: group, PlanKey: planKey, Planner: planner, PlannerURL: plannerURL,
+			})
 			mu.Lock()
 			for k, v := range r {
 				res[k] = v
@@ -274,43 +229,44 @@ func (c *Coordinator) RemoteSweep(ctx context.Context, planKey string, cells []s
 				errs[k] = v
 			}
 			mu.Unlock()
-		}(owner, group)
+		}(group)
 	}
 	wg.Wait()
 	return res, errs, true
 }
 
-// dispatchBatch drives one owner-group of a sweep to completion, mirroring
-// Remote's placement loop at batch granularity: the (current) ring owner
-// first, steals to the other members on saturation, node removal on
-// transport failure, capped backoff when the fleet is full. Cells settle
-// line by line as the stream arrives — a node that dies mid-stream loses
-// only its unsettled remainder, which re-offers to the survivors. Keys
-// still unresolved when the ring empties are left out of both maps: the
-// caller's local-fallback contract.
-func (c *Coordinator) dispatchBatch(ctx context.Context, planKey, planner string, cells []service.RemoteCell) (map[string]service.CellResult, map[string]error) {
-	res := make(map[string]service.CellResult, len(cells))
+// dispatchBatch is the coordinator's one placement loop: it drives a batch
+// to completion by offering it to the (current) ring owner of its first
+// pending cell, stealing to the other members when the owner pushes back,
+// removing members that stop answering (their cells re-shard by
+// construction), and backing off — capped, shortened by Retry-After hints —
+// when the whole fleet is saturated. Cells settle line by line as the
+// stream arrives — a node that dies mid-stream loses only its unsettled
+// remainder, which re-offers to the survivors. Keys still unresolved when
+// the ring empties are left out of both maps: the caller's local-fallback
+// contract.
+func (c *Coordinator) dispatchBatch(ctx context.Context, req sweepRequest) (map[string]service.CellResult, map[string]error) {
+	res := make(map[string]service.CellResult, len(req.Cells))
 	errs := make(map[string]error)
-	pending := cells
-	for len(pending) > 0 {
-		order, urls, owner, ok := c.plan(pending[0].Key)
+	failPending := func(err error) {
+		for _, rc := range req.Cells {
+			errs[rc.Key] = err
+		}
+	}
+	for len(req.Cells) > 0 {
+		order, urls, owner, ok := c.plan(req.Cells[0].Key)
 		if !ok {
 			return res, errs
 		}
 		wait := time.Duration(0)
 		for _, node := range order {
-			lines, err := executeSweepBatch(ctx, c.hc, urls[node], sweepRequest{
-				Cells: pending, PlanKey: planKey, Planner: planner,
-			})
+			lines, err := executeSweepBatch(ctx, c.hc, urls[node], req)
 			// Settle whatever landed — on a clean response and on a stream
 			// that died partway alike; settled cells never re-dispatch.
 			if len(lines) > 0 {
 				settled := make(map[string]bool, len(lines))
 				cc := c.countersRef()
 				for _, ln := range lines {
-					if ln.Key == "" || settled[ln.Key] {
-						continue
-					}
 					settled[ln.Key] = true
 					cc.AddRemoteCell()
 					if node != owner {
@@ -322,34 +278,39 @@ func (c *Coordinator) dispatchBatch(ctx context.Context, planKey, planner string
 						res[ln.Key] = ln.Result
 					}
 				}
-				rest := pending[:0]
-				for _, rc := range pending {
+				var rest []service.RemoteCell
+				for _, rc := range req.Cells {
 					if !settled[rc.Key] {
 						rest = append(rest, rc)
 					}
 				}
-				pending = rest
-				if len(pending) == 0 {
-					return res, errs
-				}
+				req.Cells = rest
 			}
+			// Classify the outcome even when every cell settled: a node
+			// whose stream broke after its last line is still a failed node.
 			var sat *saturatedError
 			switch {
 			case err == nil:
 				// The node answered but left cells unreported; offer the
 				// remainder to the next member this round.
 			case errors.As(err, &sat):
+				// Healthy but full: a steal candidate for this round and a
+				// backoff hint for the next.
 				if wait == 0 || sat.after < wait {
 					wait = sat.after
 				}
 			case ctx.Err() != nil:
-				for _, rc := range pending {
-					errs[rc.Key] = ctx.Err()
-				}
+				// Shutdown or cancellation, not a node fault.
+				failPending(ctx.Err())
 				return res, errs
 			default:
+				// The node itself failed (connection refused, mid-request
+				// death, 5xx): remove it so every cell it owned re-shards.
 				c.countersRef().AddNodeFailure()
 				c.RemoveNode(node)
+			}
+			if len(req.Cells) == 0 {
+				return res, errs
 			}
 		}
 		if wait <= 0 {
@@ -360,9 +321,7 @@ func (c *Coordinator) dispatchBatch(ctx context.Context, planKey, planner string
 		}
 		select {
 		case <-ctx.Done():
-			for _, rc := range pending {
-				errs[rc.Key] = ctx.Err()
-			}
+			failPending(ctx.Err())
 			return res, errs
 		case <-time.After(wait):
 		}

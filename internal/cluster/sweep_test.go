@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/service"
 )
 
@@ -34,7 +35,7 @@ func sweepSpec() service.CampaignSpec {
 
 // startSweepCoordinator is startCoordinator plus the batched sweep seam:
 // window-major sampled jobs dispatch one request per (node, workload)
-// batch through RemoteSweep instead of per-cell POSTs.
+// batch through RemoteSweep instead of a one-cell batch per cell.
 func startSweepCoordinator(t *testing.T, id string, workers []*testNode) (*service.Service, *Coordinator) {
 	t.Helper()
 	coord := NewCoordinator()
@@ -61,7 +62,7 @@ func startSweepCoordinator(t *testing.T, id string, workers []*testNode) (*servi
 // functional planning pass per workload fleet-wide — every other node
 // adopts the planner's serialized plan — while producing results
 // bit-identical to a single-node run, each cell detailed-simulated exactly
-// once, and the whole grid dispatched as node batches, not per-cell POSTs.
+// once, and the whole grid dispatched as node batches, not one-cell batches.
 func TestClusterSweepPlanSharingExactlyOnce(t *testing.T) {
 	spec := sweepSpec()
 	cells := len(spec.Machines) * len(spec.Workloads)
@@ -104,6 +105,98 @@ func TestClusterSweepPlanSharingExactlyOnce(t *testing.T) {
 		t.Errorf("coordinator settled %d remote cells, want %d", got, cells)
 	}
 	t.Logf("fleet: %d plans, %d adopted, %d sims for %d cells", plans, peerPlans, totalSims, cells)
+}
+
+// TestPlannerURLTravelsWithBatch: a worker that receives a sweep batch for
+// a plan some other node already computed adopts that plan instead of
+// paying a redundant functional pass, in both ways the protocol allows:
+// the batch names that node as planner and carries its URL (so a worker
+// with an empty peer map — its membership view lost to a stale push, or
+// never received — still reaches it), or the batch designates the worker
+// itself, as a later sweep of the same workload may, and its cache-only
+// peer sweep finds the plan before it pays.
+func TestPlannerURLTravelsWithBatch(t *testing.T) {
+	// The planner plans while simulating two machines; the worker is asked
+	// for two others under the same plan key, so no peer holds its cells.
+	spec := sweepSpec()
+	spec.Workloads = spec.Workloads[:1]
+	planned, asked := spec, spec
+	planned.Machines, asked.Machines = spec.Machines[:2], spec.Machines[2:4]
+	planner := startWorker(t, "wp", service.Config{Workers: 2}, nil)
+	submitAndWait(t, planner.svc, planned) // the planner pays the pass
+	ref := submitAndWait(t, startService(t, service.Config{NodeID: "ref", Workers: 2}), asked)
+	planKey, err := experiments.Options{
+		Warmup: spec.Warmup, Measure: spec.Measure,
+		SampleWindows: spec.Windows, SampleFastForward: spec.FastForward,
+	}.PlanKey(spec.Workloads[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		peers bool // the worker's peer map holds the planner
+		self  bool // the batch designates the worker itself
+	}{
+		{name: "named-planner-no-peers"},
+		{name: "self-designated", peers: true, self: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := startWorker(t, "wq", service.Config{Workers: 2}, nil)
+			req := sweepRequest{PlanKey: planKey, Planner: planner.id, PlannerURL: planner.srv.URL}
+			if tc.peers {
+				w.wk.SetPeers(map[string]string{planner.id: planner.srv.URL})
+			}
+			if tc.self {
+				req.Planner, req.PlannerURL = w.id, w.srv.URL
+			}
+			want := make(map[string]service.CellResult)
+			for i, res := range ref.Results {
+				cell := asked
+				cell.Machines = asked.Machines[i : i+1]
+				req.Cells = append(req.Cells, service.RemoteCell{Key: res.Key, Spec: cell})
+				want[res.Key] = res
+			}
+			lines, err := executeSweepBatch(context.Background(), SharedClient(), w.srv.URL, req)
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			if len(lines) != len(req.Cells) {
+				t.Fatalf("%d lines for %d cells", len(lines), len(req.Cells))
+			}
+			for _, ln := range lines {
+				got, _ := json.Marshal(ln.Result)
+				ref, _ := json.Marshal(want[ln.Key])
+				if ln.Source != "executed" || !bytes.Equal(got, ref) {
+					t.Errorf("cell %s: %s %q differs from a single-node run", ln.Key, ln.Source, ln.Error)
+				}
+			}
+			if got := metricValue(t, w.svc, "pubsd_snapshot_plans_total"); got != 0 {
+				t.Errorf("worker paid %d functional passes for a plan its peer held", got)
+			}
+			if got := metricValue(t, w.svc, "pubsd_snapshot_peer_plans_total"); got != 1 {
+				t.Errorf("worker adopted %d peer plans, want 1", got)
+			}
+		})
+	}
+}
+
+// TestStaticPeersOutrankStalePushes: a static member map outranks the
+// asynchronous push of any membership change made before it, so a slow
+// broadcast from an earlier AddNode cannot shrink a worker's view.
+func TestStaticPeersOutrankStalePushes(t *testing.T) {
+	w := startWorker(t, "w1", service.Config{}, nil)
+	stale := uint64(time.Now().UnixNano())
+	w.wk.SetPeers(map[string]string{"w1": w.srv.URL, "w2": "http://w2.invalid"})
+	if w.wk.ApplyPeers(map[string]string{"w1": w.srv.URL}, stale) {
+		t.Error("a push stamped before the static map overwrote it")
+	}
+	if peers := w.wk.peerList(); len(peers) != 1 {
+		t.Errorf("peer view %v, want the static map's one peer", peers)
+	}
+	if !w.wk.ApplyPeers(map[string]string{"w1": w.srv.URL}, uint64(time.Now().UnixNano())) {
+		t.Error("a later membership change did not apply over the static map")
+	}
 }
 
 // TestClusterSweepResultReplicationFailover is the proactive-replication

@@ -10,10 +10,11 @@ import (
 // The cluster wire protocol is HTTP/JSON, mounted under /v1/cluster/ next
 // to the public pubsd API:
 //
-//	POST /v1/cluster/execute      coordinator -> worker: run one cell
-//	POST /v1/cluster/sweep        coordinator -> worker: run one workload's
-//	                              machine batch; streaming NDJSON response,
-//	                              one sweepLine per cell as it completes
+//	POST /v1/cluster/sweep        coordinator -> worker: run a batch of cells
+//	                              (one workload's machine sweep, or a single
+//	                              cell as a batch of one); streaming NDJSON
+//	                              response, one sweepLine per cell as it
+//	                              completes
 //	GET  /v1/cluster/result/{key} peer -> peer: cache-only fetch by hash
 //	POST /v1/cluster/result       peer -> peer: proactive result replication
 //	GET  /v1/cluster/plan/{key}   peer -> peer: cache-only serialized
@@ -24,25 +25,12 @@ import (
 //	POST /v1/cluster/join         worker -> coordinator: announce self
 //	GET  /v1/cluster/nodes        anyone -> coordinator: member map
 //
-// The execute body is a service.RemoteCell and every result payload is the
+// A sweep batch carries service.RemoteCells and every result payload is the
 // service.CellResult schema — the same record the public API serves, which
 // is what makes cluster bit-identity checkable byte for byte. Plan
 // payloads are the sampling package's sealed envelope (sampling.EncodePlan):
 // flate-compressed windows behind a SHA-256 content hash, so a corrupt or
 // truncated plan is rejected at decode, never replayed.
-
-// executeResponse is the 200 body of POST /v1/cluster/execute. Source says
-// which cache tier answered: "cache" (the worker's own store), "peer" (a
-// peer fetch by hash), "executed" (the worker's Submit path ran it — which
-// may itself have been answered by the worker's memo or checkpoint without
-// a fresh simulation), or "error". Simulation failures travel as Source
-// "error" with Error set, still HTTP 200: the cell failed, the node did
-// not, and the coordinator must not drop a healthy node over a bad spec.
-type executeResponse struct {
-	Result service.CellResult `json:"result,omitempty"`
-	Source string             `json:"source"`
-	Error  string             `json:"error,omitempty"`
-}
 
 // joinRequest is the body of POST /v1/cluster/join: a worker announcing
 // its stable node ID and the base URL peers reach it at.
@@ -62,20 +50,30 @@ type peersMsg struct {
 }
 
 // sweepRequest is the body of POST /v1/cluster/sweep: every still-unresolved
-// cell of one workload's machine sweep owned by the receiving node, plus the
-// sampling-plan coordinates. PlanKey is the plan content address all cells
-// share; Planner is the node ID the coordinator designated to pay the
-// workload's one functional pass — the receiver plans immediately if that is
-// itself, and otherwise long-polls the planner's plan endpoint before
-// falling back to a local pass.
+// cell of one workload's machine sweep owned by the receiving node (or one
+// single cell, with no plan coordinates), plus the sampling-plan
+// coordinates. PlanKey is the plan content address all cells share; Planner
+// is the node ID the coordinator designated to pay the workload's one
+// functional pass, and PlannerURL its base URL as of the ring snapshot the
+// batch was grouped under — the receiver plans immediately if the planner
+// is itself, and otherwise long-polls PlannerURL's plan endpoint before
+// falling back to a local pass, so finding the planner never depends on the
+// receiver's own (asynchronously pushed) membership view.
 type sweepRequest struct {
-	Cells   []service.RemoteCell `json:"cells"`
-	PlanKey string               `json:"plan_key,omitempty"`
-	Planner string               `json:"planner,omitempty"`
+	Cells      []service.RemoteCell `json:"cells"`
+	PlanKey    string               `json:"plan_key,omitempty"`
+	Planner    string               `json:"planner,omitempty"`
+	PlannerURL string               `json:"planner_url,omitempty"`
 }
 
-// sweepLine is one NDJSON line of the sweep response: executeResponse plus
-// the content key it settles, written as the cell completes.
+// sweepLine is one NDJSON line of the sweep response, written as the cell
+// it settles completes. Source says which tier answered: "cache" (the
+// worker's own store), "peer" (a peer fetch by hash), "executed" (the
+// worker's Submit path ran it — which may itself have been answered by the
+// worker's memo or checkpoint without a fresh simulation), or "error".
+// Simulation failures travel as Source "error" with Error set inside a 200
+// stream: the cell failed, the node did not, and the coordinator must not
+// drop a healthy node over a bad spec.
 type sweepLine struct {
 	Key    string             `json:"key"`
 	Result service.CellResult `json:"result,omitempty"`

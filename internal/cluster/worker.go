@@ -38,9 +38,11 @@ type Worker struct {
 	hints map[string]*planHint
 }
 
+// planHint is a sweep batch's planner designation: the planner's node ID
+// and the base URL the coordinator resolved it to.
 type planHint struct {
-	planner string
-	refs    int
+	planner, url string
+	refs         int
 }
 
 // NewWorker wraps a running daemon: it serves the cluster endpoints and
@@ -72,11 +74,13 @@ func (wk *Worker) DisableReplication() {
 	wk.mu.Unlock()
 }
 
-// SetPeers replaces the worker's member map unconditionally (static
-// configuration, tests). Coordinator traffic goes through ApplyPeers, which
-// carries the membership epoch and discards stale snapshots.
+// SetPeers applies a static member map (in-process topologies, tests). It
+// is stamped with the current wall clock — the clock a coordinator draws
+// its epochs from — so the asynchronous push of a membership change made
+// before it can never overwrite it, while any later change still does.
+// Coordinator traffic goes through ApplyPeers with the coordinator's epoch.
 func (wk *Worker) SetPeers(peers map[string]string) {
-	wk.ApplyPeers(peers, 0)
+	wk.ApplyPeers(peers, uint64(time.Now().UnixNano()))
 }
 
 // ApplyPeers applies a membership snapshot stamped with the coordinator's
@@ -125,14 +129,6 @@ func (wk *Worker) peerList() []string {
 	return urls
 }
 
-// peerURL resolves a node ID to its base URL.
-func (wk *Worker) peerURL(node string) (string, bool) {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	url, ok := wk.peers[node]
-	return url, ok
-}
-
 // successorURL returns the ring successor's base URL: the next node ID
 // clockwise from self in sorted member order — the same successor that
 // inherits this node's keys if it dies, which is exactly why completed
@@ -162,81 +158,78 @@ func (wk *Worker) successorURL() (string, bool) {
 	return "", false
 }
 
-// addPlanHint registers the designated planner for a plan key while a
-// sweep batch runs; dropPlanHint releases it.
-func (wk *Worker) addPlanHint(key, planner string) {
-	if key == "" || planner == "" {
+// addPlanHint registers a sweep batch's planner designation while the
+// batch runs; dropPlanHint releases it.
+func (wk *Worker) addPlanHint(req sweepRequest) {
+	if req.PlanKey == "" || req.Planner == "" {
 		return
 	}
 	wk.mu.Lock()
-	if h, ok := wk.hints[key]; ok {
+	if h, ok := wk.hints[req.PlanKey]; ok {
 		h.refs++
 	} else {
-		wk.hints[key] = &planHint{planner: planner, refs: 1}
+		wk.hints[req.PlanKey] = &planHint{planner: req.Planner, url: strings.TrimRight(req.PlannerURL, "/"), refs: 1}
 	}
 	wk.mu.Unlock()
 }
 
-func (wk *Worker) dropPlanHint(key, planner string) {
-	if key == "" || planner == "" {
+func (wk *Worker) dropPlanHint(req sweepRequest) {
+	if req.PlanKey == "" || req.Planner == "" {
 		return
 	}
 	wk.mu.Lock()
-	if h, ok := wk.hints[key]; ok {
+	if h, ok := wk.hints[req.PlanKey]; ok {
 		if h.refs--; h.refs <= 0 {
-			delete(wk.hints, key)
+			delete(wk.hints, req.PlanKey)
 		}
 	}
 	wk.mu.Unlock()
 }
 
-// plannerFor returns the designated planner for a plan key, if a sweep
+// planHintFor returns the planner designation for a plan key, if a sweep
 // batch carrying one is in flight.
-func (wk *Worker) plannerFor(key string) (string, bool) {
+func (wk *Worker) planHintFor(key string) (planHint, bool) {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
 	h, ok := wk.hints[key]
 	if !ok {
-		return "", false
+		return planHint{}, false
 	}
-	return h.planner, true
+	return *h, true
 }
 
 // expectingPlan reports whether this node is the designated planner for
 // key with the batch still in flight — the signal that makes the plan
 // endpoint's ?wait=1 long-poll park instead of answering 404.
 func (wk *Worker) expectingPlan(key string) bool {
-	planner, ok := wk.plannerFor(key)
-	return ok && planner == wk.svc.NodeID()
+	h, ok := wk.planHintFor(key)
+	return ok && h.planner == wk.svc.NodeID()
 }
 
 // planFetch is the daemon's plan-fetch seam (tier 1 of the plan answer
 // path; the replica cache is tier 0 and a local functional pass the
-// fallback). When a sweep batch designated a planner, a non-planner node
-// long-polls it — the planner is mid-pass by construction, so waiting
-// beats burning a redundant pass — retrying briefly to absorb the window
-// where concurrent batches are still being delivered. Designated or not,
-// it ends with one cache-only sweep of the peers.
+// fallback). When a sweep batch designated another node as planner, this
+// node long-polls it at the URL the batch carried — the planner is
+// mid-pass by construction, so waiting beats burning a redundant pass —
+// retrying briefly to absorb the window where concurrent batches are still
+// being delivered. Every node, the designated planner included, then ends
+// with one cache-only sweep of the peers: an earlier sweep of the same
+// workload may have designated a different planner, which already holds
+// the plan.
 func (wk *Worker) planFetch(ctx context.Context, key string) ([]byte, bool) {
-	self := wk.svc.NodeID()
-	if planner, ok := wk.plannerFor(key); ok {
-		if planner == self {
-			return nil, false // our pass to pay
-		}
-		if base, ok := wk.peerURL(planner); ok {
-			deadline := time.Now().Add(2 * time.Second)
-			for {
-				if data, ok := fetchPlan(ctx, wk.hc, base, key, true); ok {
-					return data, true
-				}
-				// A prompt 404 means the planner is alive but not (yet)
-				// expecting to plan: its batch may still be in flight to it.
-				// Retry inside a short window, then fall back.
-				if ctx.Err() != nil || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(100 * time.Millisecond)
+	if h, ok := wk.planHintFor(key); ok && h.planner != wk.svc.NodeID() && h.url != "" {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			if data, ok := fetchPlan(ctx, wk.hc, h.url, key, true); ok {
+				return data, true
 			}
+			// A prompt 404 means the planner is alive but not (yet)
+			// expecting to plan: its batch may still be in flight to it.
+			// Retry inside a short window, then fall back.
+			if ctx.Err() != nil || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(100 * time.Millisecond)
 		}
 	}
 	for _, base := range wk.peerList() {
@@ -287,7 +280,6 @@ func (wk *Worker) replicateResult(res service.CellResult) {
 // (the daemon's public API) for every other path.
 func (wk *Worker) Handler(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/cluster/execute", wk.handleExecute)
 	mux.HandleFunc("POST /v1/cluster/sweep", wk.handleSweep)
 	mux.HandleFunc("GET /v1/cluster/result/{key}", wk.handleResult)
 	mux.HandleFunc("POST /v1/cluster/result", wk.handleResultPush)
@@ -300,101 +292,18 @@ func (wk *Worker) Handler(next http.Handler) http.Handler {
 	return mux
 }
 
-// handleExecute runs one cell through the two-tier cache and then the
-// daemon's own Submit path. Admission refusals surface as 429/503 with the
-// daemon's Retry-After hint — the coordinator's steal trigger. Simulation
-// failures return 200 with Source "error": the cell failed, the node is
-// healthy.
-func (wk *Worker) handleExecute(w http.ResponseWriter, r *http.Request) {
-	var rc service.RemoteCell
-	if err := decodeBody(w, r, &rc); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if rc.Key == "" {
-		writeError(w, http.StatusBadRequest, errors.New("cluster: execute: empty key"))
-		return
-	}
-	// Tier 1: this node already has it (its own earlier execution, an
-	// adopted peer result, or a duplicate in a concurrent burst).
-	if res, ok := wk.svc.Result(rc.Key); ok {
-		writeJSON(w, http.StatusOK, executeResponse{Result: res, Source: "cache"})
-		return
-	}
-	// Tier 2: a peer has it — after a ring change (join, failover) the old
-	// owner still holds the result, and moving it is cheaper than ever
-	// re-simulating. Adopt so this node answers tier-1 next time.
-	for _, base := range wk.peerList() {
-		if res, ok := fetchResult(r.Context(), wk.hc, base, rc.Key); ok {
-			wk.svc.AdoptResult(res)
-			wk.svc.ClusterCounters().AddPeerHit()
-			writeJSON(w, http.StatusOK, executeResponse{Result: res, Source: "peer"})
-			return
-		}
-	}
-	// Tier 3: execute, via the full single-node pipeline. The single-cell
-	// spec carries resolved windows, so the worker derives the same content
-	// address the coordinator sharded by.
-	job, err := wk.svc.Submit(rc.Spec)
-	if err != nil {
-		var ra *service.RetryAfterError
-		if errors.As(err, &ra) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(ra.After.Round(time.Second).Seconds())))
-		}
-		switch {
-		case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrRateLimited):
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, service.ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return
-	}
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		// The coordinator gave up (or died). The job keeps running: its
-		// result lands in the local cache, so the inevitable re-dispatch —
-		// here or on a peer that fetches from here — is a cache hit, not a
-		// second simulation.
-		return
-	}
-	st := job.Status()
-	if st.State == service.JobFailed {
-		writeJSON(w, http.StatusOK, executeResponse{Source: "error", Error: strings.Join(st.Errors, "; ")})
-		return
-	}
-	for _, res := range st.Results {
-		if res.Key == rc.Key {
-			wk.replicateResult(res)
-			writeJSON(w, http.StatusOK, executeResponse{Result: res, Source: "executed"})
-			return
-		}
-	}
-	// The worker resolved the spec to a different content address than the
-	// coordinator — a protocol bug worth failing loudly, not silently
-	// serving the wrong cell.
-	keys := make([]string, 0, len(st.Results))
-	for _, res := range st.Results {
-		keys = append(keys, res.Key)
-	}
-	writeJSON(w, http.StatusOK, executeResponse{
-		Source: "error",
-		Error:  fmt.Sprintf("cluster: key mismatch: coordinator asked for %s, worker computed %v", rc.Key, keys),
-	})
-}
-
-// handleSweep runs one workload's machine batch: every cell the coordinator
-// still needs from this node, answered as a stream of NDJSON sweepLines so
-// settled cells reach the coordinator the moment they finish. The answer
-// path per cell is the same two-tier cache as handleExecute; the remainder
-// is merged into ONE window-major submission, so the whole batch shares a
-// single sampling plan and each workload window replays across every
-// machine while its trace is hot. The request's planner designation is
-// registered first — before any tier check — because it is what the plan
-// endpoint's long-poll and the plan-fetch seam consult to keep the fleet at
-// exactly one functional pass per plan key.
+// handleSweep is the only way a worker answers remote cells: a batch of
+// them — one workload's machine sweep, or a single cell as a batch of one —
+// answered as a stream of NDJSON sweepLines so settled cells reach the
+// coordinator the moment they finish. Each cell goes through the two-tier
+// cache first: this node's own store, then a peer fetch by content address.
+// The remainder is merged into ONE submission through the daemon's own
+// Submit path (admission control, journal, runner, cache), so a sweep
+// shares a single sampling plan and each workload window replays across
+// every machine while its trace is hot. The request's planner designation
+// is registered first — before any tier check — because it is what the
+// plan endpoint's long-poll and the plan-fetch seam consult to keep the
+// fleet at exactly one functional pass per plan key.
 func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -405,8 +314,8 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("cluster: sweep: no cells"))
 		return
 	}
-	wk.addPlanHint(req.PlanKey, req.Planner)
-	defer wk.dropPlanHint(req.PlanKey, req.Planner)
+	wk.addPlanHint(req)
+	defer wk.dropPlanHint(req)
 
 	var answered []sweepLine
 	var pending []service.RemoteCell
@@ -415,12 +324,15 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, errors.New("cluster: sweep: malformed cell"))
 			return
 		}
-		// Tier 1: already resident here.
+		// Tier 1: already resident here (this node's own earlier execution,
+		// an adopted peer result, or a duplicate in a concurrent burst).
 		if res, ok := wk.svc.Result(rc.Key); ok {
 			answered = append(answered, sweepLine{Key: rc.Key, Result: res, Source: "cache"})
 			continue
 		}
-		// Tier 2: a peer holds it (ring churn, an earlier owner's work).
+		// Tier 2: a peer holds it — after a ring change (join, failover) the
+		// old owner still has the result, and moving it is cheaper than
+		// re-simulating. Adopt so this node answers tier 1 next time.
 		hit := false
 		for _, base := range wk.peerList() {
 			if res, ok := fetchResult(r.Context(), wk.hc, base, rc.Key); ok {
@@ -453,9 +365,11 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Merge the remainder into one multi-machine spec. Per-cell specs from
-	// one sweep batch differ only in their machine by construction; anything
-	// else is a protocol bug worth refusing outright.
+	// Tier 3: merge the remainder into one multi-machine spec. Per-cell
+	// specs from one batch differ only in their machine by construction;
+	// anything else is a protocol bug worth refusing outright. Each spec
+	// carries resolved windows, so this node derives the same content
+	// addresses the coordinator sharded by.
 	var job *service.Job
 	keyByMachine := make(map[string]string, len(pending))
 	if len(pending) > 0 {
@@ -480,7 +394,8 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 			keyByMachine[cfg.Name] = rc.Key
 		}
 		// Submit before committing to a 200: an admission refusal must reach
-		// the coordinator as the steal/backoff signal, not a broken stream.
+		// the coordinator as 429/503 with the daemon's Retry-After hint —
+		// the steal/backoff signal — not as a broken stream.
 		var err error
 		job, err = wk.svc.Submit(merged)
 		if err != nil {
@@ -519,14 +434,20 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Stream the job's cell events as they land. Failures carry no content
 	// key (there is no result to address), so they map back to the
-	// coordinator's key through the machine name.
+	// coordinator's key through the machine name. The wait wakes on the
+	// job's completion as well as on the poll tick, so the last cell — a
+	// single cell's only one — leaves the moment the job finishes.
 	reported := make(map[string]bool, len(pending))
 	var executed []service.CellResult
+	shed := "" // set when the job failed before running any cell
 	from := 0
 	for {
 		evs, state := job.EventsSince(from)
 		from += len(evs)
 		for _, e := range evs {
+			if e.Type == "failed" && e.Error != "" {
+				shed = e.Error
+			}
 			if e.Type != "cell" {
 				continue
 			}
@@ -561,27 +482,33 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// The coordinator hung up; the job runs on and lands in the
 			// cache, so the re-dispatch is a tier-1 hit.
 			return
+		case <-job.Done():
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
 
-	// Anything still unreported either raced the final poll (settle it from
-	// the cache) or resolved to a different content address than the
-	// coordinator sharded by — a protocol bug to surface loudly.
+	// Anything still unreported either missed the cache (settle it from the
+	// job's own results), belongs to a job that was shed before it ran, or
+	// resolved to a different content address than the coordinator sharded
+	// by — a protocol bug to surface loudly.
+	byKey := make(map[string]service.CellResult)
+	for _, res := range job.Status().Results {
+		byKey[res.Key] = res
+	}
 	for _, rc := range pending {
 		if reported[rc.Key] {
 			continue
 		}
-		if res, ok := wk.svc.Result(rc.Key); ok {
+		if res, ok := byKey[rc.Key]; ok {
 			executed = append(executed, res)
 			emit(sweepLine{Key: rc.Key, Result: res, Source: "executed"})
 			continue
 		}
-		emit(sweepLine{
-			Key:    rc.Key,
-			Source: "error",
-			Error:  fmt.Sprintf("cluster: key mismatch: coordinator asked for %s, worker computed a different address", rc.Key),
-		})
+		msg := shed
+		if msg == "" {
+			msg = fmt.Sprintf("cluster: key mismatch: coordinator asked for %s, worker computed a different address", rc.Key)
+		}
+		emit(sweepLine{Key: rc.Key, Source: "error", Error: msg})
 	}
 	for _, res := range executed {
 		wk.replicateResult(res)

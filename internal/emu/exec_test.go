@@ -206,6 +206,24 @@ func TestAccessNearAddressSpaceEndRejected(t *testing.T) {
 	}
 }
 
+// TestRunOffCodeRejected: a program that would fall through past its last
+// instruction gets Validate's diagnostic from New, never a raw index panic
+// from Run.
+func TestRunOffCodeRejected(t *testing.T) {
+	for _, prog := range []*isa.Program{
+		{Name: "lone-nop", Code: []isa.Inst{{Op: isa.Nop}}, MemSize: 64},
+		{Name: "cond-tail", Code: []isa.Inst{{Op: isa.Beq, Rs1: isa.RZero, Rs2: isa.R(2), Imm: 0}}, MemSize: 64},
+	} {
+		m, err := New(prog)
+		if err == nil {
+			t.Fatalf("%s: New accepted a program that runs off its code", prog.Name)
+		}
+		if m != nil || !strings.Contains(err.Error(), prog.Name) {
+			t.Errorf("%s: New = (%v, %v), want nil and a diagnostic naming the program", prog.Name, m, err)
+		}
+	}
+}
+
 // TestAccessTinyMemoryRejected: a memory smaller than one word holds no
 // valid address at all.
 func TestAccessTinyMemoryRejected(t *testing.T) {

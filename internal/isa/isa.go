@@ -333,7 +333,9 @@ func PC(idx int) uint64 { return uint64(idx) * 4 }
 func Index(pc uint64) int { return int(pc / 4) }
 
 // Validate checks structural invariants: targets in range, registers in
-// range, memory image within MemSize.
+// range, memory image within MemSize, and no way to run off the end of the
+// code — the last instruction must be Halt or an unconditional jump, since
+// anything else (a conditional branch included) can fall through past it.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("isa: program %q has no code", p.Name)
@@ -356,6 +358,11 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: program %q inst %d: target %d out of range", p.Name, i, in.Imm)
 			}
 		}
+	}
+	switch last := p.Code[len(p.Code)-1]; last.Op {
+	case Halt, Jmp, Jal, Jr:
+	default:
+		return fmt.Errorf("isa: program %q ends in %q: execution can fall through past its last instruction (end with halt or a jump)", p.Name, last)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -130,9 +131,13 @@ func TestPCConversion(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	ok := &Program{Name: "ok", Code: []Inst{{Op: Add}, {Op: Halt}}, MemSize: 64}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid program rejected: %v", err)
+	// Halt and the unconditional jumps are the only instructions a program
+	// may end in: anything else can fall through past its code.
+	for _, last := range []Inst{{Op: Halt}, {Op: Jmp}, {Op: Jal, Rd: RLink}, {Op: Jr, Rs1: RLink}} {
+		ok := &Program{Name: "ok", Code: []Inst{{Op: Add}, last}, MemSize: 64}
+		if err := ok.Validate(); err != nil {
+			t.Errorf("valid program rejected: %v", err)
+		}
 	}
 	cases := []*Program{
 		{Name: "empty", MemSize: 64},
@@ -140,10 +145,12 @@ func TestValidate(t *testing.T) {
 		{Name: "data", Code: []Inst{{Op: Halt}}, Data: make([]byte, 100), MemSize: 64},
 		{Name: "target", Code: []Inst{{Op: Jmp, Imm: 99}, {Op: Halt}}, MemSize: 64},
 		{Name: "reg", Code: []Inst{{Op: Add, Rd: 77}, {Op: Halt}}, MemSize: 64},
+		{Name: "lone-nop", Code: []Inst{{Op: Nop}}, MemSize: 64},
+		{Name: "cond-tail", Code: []Inst{{Op: Addi, Rd: R(2), Imm: 1}, {Op: Bne, Rs1: R(2), Imm: 0}}, MemSize: 64},
 	}
 	for _, p := range cases {
-		if err := p.Validate(); err == nil {
-			t.Errorf("program %q should fail validation", p.Name)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), p.Name) {
+			t.Errorf("program %q: Validate = %v, want an error naming it", p.Name, err)
 		}
 	}
 }

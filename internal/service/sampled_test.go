@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -189,5 +192,53 @@ func TestWindowMajorSpecKeying(t *testing.T) {
 		if cells[0].Key(base.options(def)) != cells[0].Key(other.options(def)) {
 			t.Fatal("scheduling/decode mode leaked into the cell content key")
 		}
+	}
+}
+
+// TestDuplicateSweepsSimulateOnce: two identical window-major sampled jobs
+// in flight on one node share every cell through the singleflight table —
+// the sweep executor claims cells before it simulates — so each cell is
+// simulated once, and for every cell one job reports it simulated while
+// the other reports it merged or cached.
+func TestDuplicateSweepsSimulateOnce(t *testing.T) {
+	s := testService(t, Config{Workers: 2})
+	spec := CampaignSpec{
+		Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}, {Machine: "pubs+age"}},
+		Workloads: []string{"parser", "chess"},
+		Warmup:    2_000, Measure: 5_000,
+		Windows: 2, FastForward: 20_000, WindowMajor: true,
+	}
+	cells := len(spec.Machines) * len(spec.Workloads)
+	jobs := []*Job{mustSubmit(t, s, spec), mustSubmit(t, s, spec)}
+	outcomes := make(map[string][]string) // cell key -> one outcome per job
+	var results []string
+	for _, j := range jobs {
+		st := waitJob(t, j)
+		if st.State != JobDone || len(st.Results) != cells {
+			t.Fatalf("job %s: %s with %d results %v", st.ID, st.State, len(st.Results), st.Errors)
+		}
+		data, _ := json.Marshal(st.Results)
+		results = append(results, string(data))
+		evs, _ := j.EventsSince(0)
+		for _, e := range evs {
+			if e.Type == "cell" {
+				outcomes[e.Key] = append(outcomes[e.Key], e.Outcome)
+			}
+		}
+	}
+	if results[0] != results[1] {
+		t.Error("identical jobs returned different results")
+	}
+	if len(outcomes) != cells {
+		t.Fatalf("%d distinct cell keys reported, want %d", len(outcomes), cells)
+	}
+	for key, got := range outcomes {
+		sort.Strings(got)
+		if len(got) != 2 || got[1] != "simulated" || (got[0] != "cached" && got[0] != "merged") {
+			t.Errorf("cell %s reported %v, want one simulated and one merged or cached", key, got)
+		}
+	}
+	if want := fmt.Sprintf("pubsd_sims_executed_total{node=\"local\"} %d\n", cells); !strings.Contains(s.MetricsText(), want) {
+		t.Errorf("metrics missing %q: duplicate sweeps re-simulated cells", strings.TrimSpace(want))
 	}
 }

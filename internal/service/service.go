@@ -468,12 +468,12 @@ func (s *Service) runJob(j *Job) {
 	defer s.m.activeJobs.Add(-1)
 	j.start()
 	j.cellWG.Add(len(j.cells))
-	// The cluster dispatcher shards per cell — except window-major sampled
-	// jobs when the fabric supports batched sweep dispatch, which keep
-	// their per-workload group shape end to end.
-	perCell := s.cfg.Remote != nil &&
-		!(s.cfg.RemoteSweep != nil && j.opts.WindowMajor && j.opts.Sampled())
-	for _, t := range j.tasks(perCell) {
+	// Window-major sampled jobs run as one sweep task per workload, unless
+	// the cluster fabric takes cells only one at a time (Remote without
+	// RemoteSweep); each worker daemon then re-applies window-major locally.
+	grouped := j.opts.WindowMajor && j.opts.Sampled() &&
+		(s.cfg.Remote == nil || s.cfg.RemoteSweep != nil)
+	for _, t := range j.tasks(grouped) {
 		select {
 		case s.tasks <- t:
 		case <-s.rootCtx.Done():
@@ -532,13 +532,11 @@ func (t task) indices() []int {
 	return []int{t.idx}
 }
 
-// tasks shards the job for the worker pool: one task per cell, except
-// window-major sampled jobs, which get one task per workload covering that
-// workload's whole machine sweep. perCell forces the per-cell shape even
-// then — the cluster dispatcher routes cells individually by content
-// address, and each worker daemon re-applies window-major locally.
-func (j *Job) tasks(perCell bool) []task {
-	if perCell || !j.opts.WindowMajor || !j.opts.Sampled() {
+// tasks shards the job for the worker pool: one task per cell, or, when
+// grouped, one task per workload covering that workload's whole machine
+// sweep.
+func (j *Job) tasks(grouped bool) []task {
+	if !grouped {
 		out := make([]task, len(j.cells))
 		for i := range j.cells {
 			out[i] = task{job: j, idx: i}
@@ -562,11 +560,7 @@ func (j *Job) tasks(perCell bool) []task {
 // execute runs one task — a cell, or a window-major sweep of cells.
 func (s *Service) execute(t task) {
 	if t.group != nil {
-		if s.cfg.RemoteSweep != nil {
-			s.executeSweepRemote(t)
-			return
-		}
-		s.executeSweep(t)
+		s.executeSweepRemote(t)
 		return
 	}
 	cell := t.job.cells[t.idx]
@@ -627,83 +621,16 @@ func (s *Service) execute(t task) {
 	t.job.cellDone(t.idx, res, outcome, err)
 }
 
-// executeSweep runs one workload's machine sweep window-major through the
-// runner's batched scheduler, then lands each cell in the content cache.
-// The sweep shares one predecoded window set across every machine; mid-cell
-// progress events are not emitted (cells complete in window-major order).
-func (s *Service) executeSweep(t task) {
-	j := t.job
-	failAll := func(err error) {
-		for _, i := range t.group {
-			s.m.cellsFailed.Add(1)
-			j.cellDone(i, CellResult{}, outcomeRun, err)
-		}
-	}
-	wl := j.cells[t.group[0]].Workload
-	if faultinject.Fire(faultinject.ServicePanic, wl) {
-		panic(fmt.Sprintf("injected service worker panic on %s", wl))
-	}
-	if err := s.rootCtx.Err(); err != nil {
-		failAll(err)
-		return
-	}
-	runner, err := s.runnerFor(j.opts)
-	if err != nil {
-		failAll(err)
-		return
-	}
-	opts := runner.Options()
-	cfgs := make([]pipeline.Config, len(t.group))
-	for k, i := range t.group {
-		cfgs[k] = j.cells[i].Config
-	}
-	results, serr := runner.RunSweepContext(s.rootCtx, cfgs, wl)
-	failed := make(map[string]error)
-	if serr != nil {
-		var ce *experiments.CampaignError
-		if errors.As(serr, &ce) {
-			for _, f := range ce.Failures {
-				failed[f.Config] = f
-			}
-		} else {
-			failAll(serr)
-			return
-		}
-	}
-	for k, i := range t.group {
-		cell := j.cells[i]
-		if ferr, ok := failed[cell.Config.Name]; ok {
-			s.m.cellsFailed.Add(1)
-			j.cellDone(i, CellResult{}, outcomeRun, ferr)
-			continue
-		}
-		res := results[k]
-		cres, outcome, cerr := s.cache.Do(cell.Key(opts), func() (CellResult, error) {
-			return NewCellResult(cell, opts, res), nil
-		})
-		switch outcome {
-		case outcomeHit:
-			s.m.cacheHits.Add(1)
-		case outcomeMerged:
-			s.m.merged.Add(1)
-		default:
-			s.m.cacheMisses.Add(1)
-		}
-		if cerr != nil {
-			s.m.cellsFailed.Add(1)
-		} else {
-			s.m.cellsCompleted.Add(1)
-		}
-		j.cellDone(i, cres, outcome, cerr)
-	}
-}
-
-// executeSweepRemote runs one workload's machine sweep through the
-// cluster's batched dispatch seam. Every cell is first claimed in the
+// executeSweepRemote is the one sweep executor: it runs one workload's
+// machine sweep, remote tier first. Every cell is first claimed in the
 // singleflight table — hits land immediately, concurrent duplicates merge —
-// and only the owned remainder travels, as one batch sharing one plan key.
-// Cells the fabric declines (no live peers, ring churn mid-batch) fall
-// back to the local window-major sweep, so the job completes regardless.
+// so the owned remainder is the only work. With Config.RemoteSweep set,
+// that remainder travels to the cluster as one batch sharing one plan key;
+// whatever the fabric declines (no live peers, ring churn mid-batch), and
+// everything on a plain daemon, runs as one local window-major sweep
+// through the runner's batched scheduler, sharing one predecoded window set
+// across every machine. Mid-cell progress events are not emitted (cells
+// complete in window-major order).
 func (s *Service) executeSweepRemote(t task) {
 	j := t.job
 	wl := j.cells[t.group[0]].Workload
@@ -777,7 +704,7 @@ func (s *Service) executeSweepRemote(t task) {
 		default:
 			o := &ownedCell{idx: i, key: key, f: f}
 			owned = append(owned, o)
-			if spec, ok := j.remoteSpec(i); ok {
+			if spec, ok := j.remoteSpec(i); ok && s.cfg.RemoteSweep != nil {
 				rcs = append(rcs, RemoteCell{Key: key, Spec: spec})
 			}
 			// !ok (an unreconstructable recovered grid) leaves the cell to
